@@ -76,7 +76,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--no-antithetic", action="store_true")
 
     p = sub.add_parser("energy", help="additive energy and the Hoelder certificate")
     _add_freq_flags(p)
@@ -137,14 +136,7 @@ def _exec_norms(config: dict):
     elif method == "mc":
         if config["p"] != 1:
             raise LacsumError("monte-carlo estimation is implemented for p = 1")
-        est = norms.l1_monte_carlo(
-            fs,
-            McConfig(
-                samples=config["samples"],
-                seed=config["seed"],
-                antithetic=config.get("antithetic", True),
-            ),
-        )
+        est = norms.l1_monte_carlo(fs, McConfig(samples=config["samples"], seed=config["seed"]))
     else:
         if config["p"] == 1:
             est = norms.l1_auto(fs, config["tol"], seed=config["seed"])
@@ -270,7 +262,6 @@ def _config_from_args(args) -> dict:
             "samples": args.samples,
             "seed": _resolve_seed(args.seed),
             "tol": args.tol,
-            "antithetic": not args.no_antithetic,
         }
     if sc == "energy":
         return {"freqs": _resolve_freqs(args)}
@@ -342,6 +333,13 @@ def _emit(args, payload) -> None:
 
 def _replay(args) -> int:
     record = records.load_record(args.run_dir)
+    if record.schema != records.SCHEMA_VERSION:
+        print(
+            f"lacsum: run record has schema {record.schema}; this lacsum replays "
+            f"schema {records.SCHEMA_VERSION} only",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     fresh = _EXECUTORS[record.subcommand](record.config)
     # normalize through JSON so replay compares what was actually stored
     if json.loads(json.dumps(fresh)) == record.payload:

@@ -23,17 +23,16 @@ from scipy.special import ndtr
 
 from . import frequency as fq
 from . import rng
-from .errors import DomainError
+from .errors import CapacityExceeded, DomainError
 from .frequency import FrequencySet
 from .norms import McConfig, _map_chunks
-from .quadrature import QuadratureConfig, integrate_periodic
 
 DEFAULT_PHI_AXIS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
-# The alpha / product-moment integrands are smooth trigonometric polynomials;
-# 8 points per period of the top harmonic already integrates them to ~1e-13,
-# so these quadratures default to the light rule instead of the global 32.
-_SMOOTH_CFG = QuadratureConfig(points_per_period=8)
+# Live-exponent cap for _constant_term. A q-lacunary set keeps a few states
+# at any q >= 2, and small dense sets stay far below it; a dense set of large
+# frequencies, which would grow to 3^(2n) states, hits it within a second.
+_MAX_STATES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -79,51 +78,74 @@ def beta_at(fs: FrequencySet, s: float, t: float, thetas: np.ndarray) -> np.ndar
     return out
 
 
+def _constant_term(factors: Sequence[dict[int, complex]]) -> complex:
+    """Constant coefficient of a product of sparse Laurent polynomials in z.
+
+    Each factor maps integer exponents to coefficients. Factors are
+    multiplied largest span first, and a partial exponent is dropped as soon
+    as its size exceeds the total span of the factors still to come, since
+    nothing can cancel it back to zero.
+    """
+    spans = sorted(((max(map(abs, f)), f) for f in factors), key=lambda x: x[0], reverse=True)
+    reach = sum(span for span, _ in spans)
+    state: dict[int, complex] = {0: complex(1.0)}
+    for span, factor in spans:
+        reach -= span
+        nxt: dict[int, complex] = {}
+        for e, c in state.items():
+            for d, w in factor.items():
+                x = e + d
+                if -reach <= x <= reach:
+                    nxt[x] = nxt.get(x, 0) + c * w
+        if len(nxt) > _MAX_STATES:
+            raise CapacityExceeded(
+                f"the Laurent product needs more than {_MAX_STATES} live exponents"
+            )
+        state = nxt
+    return complex(state.get(0, 0))
+
+
 def product_moment(
     fs: FrequencySet,
     delta: Sequence[int],
     delta_hat: Sequence[int],
     s: float,
     t: float,
-    cfg: QuadratureConfig | None = None,
 ) -> complex:
-    """E[ prod_j (is sin 2 pi k_j theta)^{delta_j} (it cos 2 pi k_j theta)^{delta_hat_j} ].
+    """E[ prod_j (is sin 2 pi k_j theta)^{delta_j} (it cos 2 pi k_j theta)^{delta_hat_j} ], exactly.
 
-    For geometric frequency sets every non-empty selection expands into
-    sines and cosines of nonzero frequency, so the expectation vanishes.
+    With z = e^{2 pi i theta} the selected factors are (s/2)(z^k - z^-k) and
+    (it/2)(z^k + z^-k); the expectation is the constant term of their
+    product. For geometric frequency sets every non-empty selection expands
+    into sines and cosines of nonzero frequency, so the expectation vanishes.
     """
     if len(delta) != fs.n or len(delta_hat) != fs.n:
         raise DomainError("selector vectors must have length n")
-    harmonic = sum(k * (d + dh) for k, d, dh in zip(fs.freqs, delta, delta_hat))
-    if harmonic == 0:
-        return complex(1.0)
-    cfg = cfg or _SMOOTH_CFG
-
-    def integrand(thetas: np.ndarray) -> np.ndarray:
-        out = np.ones(thetas.shape, dtype=np.complex128)
-        for k, d, dh in zip(fs.freqs, delta, delta_hat):
-            if not (d or dh):
-                continue
-            ang = 2.0 * math.pi * fq._frac_mul(float(k), thetas)
-            if d:
-                out *= 1j * s * np.sin(ang)
-            if dh:
-                out *= 1j * t * np.cos(ang)
-        return out
-
-    return complex(integrate_periodic(integrand, harmonic, cfg))
+    factors = []
+    for k, d, dh in zip(fs.freqs, delta, delta_hat):
+        if d:
+            factors.append({k: s / 2.0, -k: -s / 2.0})
+        if dh:
+            factors.append({k: 0.5j * t, -k: 0.5j * t})
+    return _constant_term(factors)
 
 
-def alpha_mean(
-    fs: FrequencySet, s: float, t: float, cfg: QuadratureConfig | None = None
-) -> complex:
-    """Quadrature value of E[alpha(s,t)]; equals 1 for geometric frequency sets."""
-    if s == 0.0 and t == 0.0:
-        return complex(1.0)
-    harmonic = 2 * sum(fs.freqs)  # alpha is a trig polynomial of this degree
-    return complex(
-        integrate_periodic(lambda th: alpha_at(fs, s, t, th), harmonic, cfg or _SMOOTH_CFG)
-    )
+def alpha_mean(fs: FrequencySet, s: float, t: float) -> complex:
+    """E[alpha(s,t)], exactly; equals 1 for geometric frequency sets.
+
+    alpha is the product of 1 + (s/2 sqrt n)(z^k - z^-k) and
+    1 + (it/2 sqrt n)(z^k + z^-k) over the frequencies, with
+    z = e^{2 pi i theta}; its mean is the constant term of that product.
+    """
+    a = s / (2.0 * math.sqrt(fs.n))
+    b = 0.5j * t / math.sqrt(fs.n)
+    factors = []
+    for k in fs.freqs:
+        if s:
+            factors.append({0: 1.0, k: a, -k: -a})
+        if t:
+            factors.append({0: 1.0, k: b, -k: b})
+    return _constant_term(factors)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,24 +21,28 @@ from .frequency import FrequencySet, make_frequency_set
 MAX_COUNT_N = 10**6
 MAX_SIDON_N = 10**4
 
-# np.add.outer of two uint64 frequencies stays exact below 2^63 each; larger
+# np.add.outer of two int64 values is exact while each |value| < 2^62; larger
 # entries fall back to Python integers.
 _NUMPY_SUM_LIMIT = 2**62
 
 
 def count_quadruple_solutions(fs: FrequencySet) -> int:
     """Exact ordered count of k_a + k_b = k_c + k_d over [n]^4."""
-    n = fs.n
+    return _pair_sum_energy(fs.freqs)
+
+
+def _pair_sum_energy(values: Sequence[int]) -> int:
+    """Ordered count of a + b = c + d over distinct Python ints of either sign."""
+    n = len(values)
     if n > MAX_COUNT_N:
         raise CapacityExceeded(f"n = {n} exceeds the pairwise-sum capacity")
-    if fs.k_max >= _NUMPY_SUM_LIMIT or n > 4096:
+    if max(map(abs, values)) >= _NUMPY_SUM_LIMIT or n > 4096:
         counts = Counter()
-        freqs = fs.freqs
-        for a in freqs:
-            for b in freqs:
+        for a in values:
+            for b in values:
                 counts[a + b] += 1
         return sum(c * c for c in counts.values())
-    arr = np.array(fs.freqs, dtype=np.int64)
+    arr = np.array(values, dtype=np.int64)
     sums = np.add.outer(arr, arr).ravel()
     _, mult = np.unique(sums, return_counts=True)
     return int(sum(int(c) * int(c) for c in mult))

@@ -162,10 +162,6 @@ def evaluate_batch(fs: FrequencySet, thetas: Sequence[float]) -> np.ndarray:
 def dyadic_to_theta(m: np.ndarray) -> np.ndarray:
     return m.astype(np.float64) / float(_TWO_63)
 
-def reflect_dyadic(m: np.ndarray) -> np.ndarray:
-    """Numerator of 1 - theta mod 1 (the antithetic partner)."""
-    return (np.uint64(0) - m) & _MASK63
-
 
 def sum_components_dyadic(fs: FrequencySet, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Re S, Im S) at theta = m/2^63, vectorized over m (uint64, 63-bit)."""
@@ -226,9 +222,3 @@ def phases(fs: FrequencySet, thetas: np.ndarray) -> np.ndarray:
     """2 pi k_j theta mod 2 pi, shape (n, len(thetas)); float path as sum_values."""
     return np.stack([2.0 * math.pi * _frac_mul(float(k), thetas) for k in fs])
 
-
-def cos_double_sum(fs: FrequencySet, thetas: np.ndarray) -> np.ndarray:
-    out = np.zeros(thetas.shape, dtype=np.float64)
-    for k in fs:
-        out += np.cos(4.0 * math.pi * _frac_mul(float(k), thetas))
-    return out

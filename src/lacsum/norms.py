@@ -18,6 +18,7 @@ import numpy as np
 
 from . import frequency as fq
 from . import rng
+from .energy import _pair_sum_energy
 from .errors import BudgetExceeded, FrequencyTooLarge
 from .frequency import FrequencySet
 from .quadrature import QuadratureConfig, integrate_abs_adaptive, integrate_periodic, panel_count
@@ -30,7 +31,6 @@ class McConfig:
     samples: int
     seed: int = 0
     chunk_size: int = 1 << 16
-    antithetic: bool = True  # pair theta with 1-theta; valid by conjugate symmetry
 
     def __post_init__(self):
         if self.samples < 1:
@@ -82,24 +82,16 @@ def _mc_mean(
     fs: FrequencySet,
     cfg: McConfig,
     valfn: Callable[[FrequencySet, np.ndarray], np.ndarray],
-    antithetic: bool,
 ) -> tuple[float, float, int]:
-    """Mean of valfn over the theta stream, with its standard error.
-
-    With antithetic pairing each draw m contributes the average of the value
-    at theta and at 1-theta; the error is then computed over pair means.
-    """
-    draws = (cfg.samples + 1) // 2 if antithetic else cfg.samples
+    """Mean of valfn over cfg.samples iid theta draws, with its standard error."""
 
     def stats(item) -> np.ndarray:
         chunk, count = item
         m = rng.chunk_uniform63(cfg.seed, rng.STREAM_THETA, chunk, count)
         v = valfn(fs, m)
-        if antithetic:
-            v = 0.5 * (v + valfn(fs, fq.reflect_dyadic(m)))
         return np.array([v.sum(), np.square(v).sum(), float(count)])
 
-    s1, s2, cnt = _tree_reduce(_map_chunks(stats, rng.chunk_layout(draws, cfg.chunk_size)))
+    s1, s2, cnt = _tree_reduce(_map_chunks(stats, rng.chunk_layout(cfg.samples, cfg.chunk_size)))
     mean = s1 / cnt
     var = max(s2 / cnt - mean * mean, 0.0)
     if cnt > 1:
@@ -158,7 +150,7 @@ def lp_norm_quadrature(
 
 def l1_monte_carlo(fs: FrequencySet, cfg: McConfig) -> NormEstimate:
     """Unbiased Monte Carlo estimate of the L1 norm over the dyadic theta stream."""
-    mean, se, _ = _mc_mean(fs, cfg, _abs_sum_dyadic, cfg.antithetic)
+    mean, se, _ = _mc_mean(fs, cfg, _abs_sum_dyadic)
     rt = math.sqrt(fs.n)
     return NormEstimate(
         p=1,
@@ -189,42 +181,21 @@ def l1_auto(
     if quadrature_fits(fs, quad_cfg):
         return lp_norm_quadrature(fs, 1, quad_cfg)
     pilot = l1_monte_carlo(fs, McConfig(samples=1 << 14, seed=seed))
-    sigma = (pilot.std_error or 0.0) * math.sqrt(pilot.samples / 2)
+    sigma = (pilot.std_error or 0.0) * math.sqrt(pilot.samples)
     needed = max(int(math.ceil((3.0 * sigma / tol) ** 2)), 1 << 14)
     if needed > MAX_MC_SAMPLES:
         raise BudgetExceeded(f"tolerance {tol} would need {needed} samples")
     return l1_monte_carlo(fs, McConfig(samples=needed, seed=seed))
 
 
-def fourth_moment_cos(
-    fs: FrequencySet,
-    method: str = "auto",
-    quad_cfg: QuadratureConfig | None = None,
-    mc: McConfig | None = None,
-) -> float:
-    """E[(sum_j cos 4 pi k_j theta)^4] by quadrature or Monte Carlo."""
-    quad_cfg = quad_cfg or QuadratureConfig()
-    if method == "auto":
-        method = "quad" if _fourth_moment_quad_fits(fs, quad_cfg) else "mc"
-    if method == "quad":
-        return float(
-            integrate_periodic(
-                lambda th: fq.cos_double_sum(fs, th) ** 4, 2 * fs.k_max, quad_cfg
-            )
-        )
-    if method == "mc":
-        mc = mc or McConfig(samples=10**6)
-        mean, _, _ = _mc_mean(fs, mc, lambda f, m: fq.cos_double_sum_dyadic(f, m) ** 4, False)
-        return mean
-    raise ValueError(f"unknown method {method!r}")
+def fourth_moment_cos(fs: FrequencySet) -> float:
+    """E[(sum_j cos 4 pi k_j theta)^4], exactly.
 
-
-def _fourth_moment_quad_fits(fs: FrequencySet, cfg: QuadratureConfig) -> bool:
-    try:
-        panel_count(2 * fs.k_max, cfg)
-        return True
-    except FrequencyTooLarge:
-        return False
+    The cosine sum is (1/2) sum_{g in F u -F} e^{4 pi i g theta}, a real
+    trigonometric polynomial, so its fourth moment is (1/16) times the
+    additive energy of F u -F (Parseval).
+    """
+    return _pair_sum_energy(fs.freqs + tuple(-k for k in fs.freqs)) / 16
 
 
 def markov_tail_fraction(fs: FrequencySet, mc: McConfig) -> float:
@@ -237,5 +208,5 @@ def markov_tail_fraction(fs: FrequencySet, mc: McConfig) -> float:
     def indicator(f: FrequencySet, m: np.ndarray) -> np.ndarray:
         return (np.abs(fq.cos_double_sum_dyadic(f, m)) >= threshold).astype(np.float64)
 
-    mean, _, _ = _mc_mean(fs, mc, indicator, False)
+    mean, _, _ = _mc_mean(fs, mc, indicator)
     return mean

@@ -204,6 +204,20 @@ def test_replay_detects_tampering(tmp_path, capsys):
     assert "mismatch" in out
 
 
+def test_replay_rejects_other_schema(tmp_path, capsys):
+    code, _ = run_in(tmp_path, "energy", "--freqs", "1,2,5", capsys=capsys)
+    assert code == 0
+    rec_path = only_record_dir(tmp_path) / "record.json"
+    data = json.loads(rec_path.read_text())
+    current = data["schema"]
+    data["schema"] = current - 1
+    rec_path.write_text(json.dumps(data))
+    code = run(["--no-record", "replay", str(rec_path.parent)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"schema {current - 1}" in err and f"schema {current}" in err
+
+
 def test_no_record_writes_nothing(tmp_path, capsys):
     code, _ = run_in(
         tmp_path, "--no-record", "energy", "--freqs", "1,2", capsys=capsys

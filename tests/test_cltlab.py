@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +28,8 @@ from lacsum import (
     smoothing_bound,
     w_remainder,
 )
-from lacsum.errors import DomainError
+from lacsum.errors import CapacityExceeded, DomainError
+from lacsum.quadrature import integrate_periodic
 
 
 # ---------------------------------------------------------------- w remainder
@@ -95,11 +98,49 @@ def test_alpha_beta_pointwise_identity():
 
 
 def test_alpha_mean_is_one_for_lacunary():
-    for n in (1, 4):
+    # exact up to the 64-bit frequency 8^21
+    for n in range(1, 22):
         fs = lacunary_set(8, n)
         for s, t in [(0.5, 0.5), (1.0, 0.5), (1.0, 1.0)]:
-            val = alpha_mean(fs, s, t)
-            assert abs(val - 1.0) < 1e-9
+            assert alpha_mean(fs, s, t) == 1.0
+
+
+def test_alpha_mean_matches_quadrature():
+    # reference: Gauss-Legendre integral of alpha_at, a trigonometric
+    # polynomial of degree 2 sum(k); float64 rounding sets the tolerance
+    for freqs in ([1, 2, 3], [3, 4, 10]):
+        fs = make_frequency_set(freqs)
+        for s, t in [(0.5, 1.0), (2.0, 2.0), (1.0, 0.0)]:
+            ref = integrate_periodic(lambda th: alpha_at(fs, s, t, th), 2 * sum(freqs))
+            assert abs(alpha_mean(fs, s, t) - ref) <= 1e-12
+
+
+def test_product_moment_matches_quadrature():
+    fs = make_frequency_set([1, 2, 3])
+    s, t = 1.5, -0.75
+    for sel in itertools.product((0, 1), repeat=6):
+        delta, delta_hat = sel[:3], sel[3:]
+
+        def integrand(th):
+            out = np.ones(th.shape, dtype=np.complex128)
+            for k, d, dh in zip(fs.freqs, delta, delta_hat):
+                if d:
+                    out *= 1j * s * np.sin(2 * np.pi * k * th)
+                if dh:
+                    out *= 1j * t * np.cos(2 * np.pi * k * th)
+            return out
+
+        ref = integrate_periodic(integrand, 2 * sum(fs.freqs))
+        assert abs(product_moment(fs, delta, delta_hat, s, t) - ref) <= 1e-12
+
+
+def test_moment_state_capacity_guard():
+    # generic large frequencies leave nothing to prune: 5^n live exponents
+    fs = make_frequency_set([10**18 + 7**j for j in range(1, 13)])
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceeded, match="live exponents"):
+        alpha_mean(fs, 1.0, 1.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_alpha_mean_origin_exact():

@@ -13,10 +13,7 @@ from lacsum import (
     parse_freqs_file,
     write_freqs_file,
 )
-from lacsum.frequency import (
-    reflect_dyadic,
-    sum_components_dyadic,
-)
+from lacsum.frequency import sum_components_dyadic
 
 
 def test_make_frequency_set_sorts_and_freezes():
@@ -127,12 +124,6 @@ def test_dyadic_bulk_path_matches_exact_oracle():
         )
         assert abs(z.real - re[j]) < 1e-12 * fs.n
         assert abs(z.imag - im[j]) < 1e-12 * fs.n
-
-
-def test_reflect_dyadic_is_modular_negation():
-    m = np.array([0, 1, (1 << 62), (1 << 63) - 1], dtype=np.uint64)
-    r = reflect_dyadic(m)
-    assert np.all(((m + r) & np.uint64((1 << 63) - 1)) == 0)
 
 
 def test_freqs_file_roundtrip(tmp_path):

@@ -14,6 +14,7 @@ from lacsum import (
     lp_norm_quadrature,
     make_frequency_set,
     markov_tail_fraction,
+    mian_chowla,
 )
 from lacsum.energy import count_quadruple_solutions
 from lacsum.errors import BudgetExceeded, FrequencyTooLarge
@@ -133,6 +134,12 @@ def test_l1_auto_dispatch():
     assert mc.std_error <= 5e-3
 
 
+def test_l1_auto_meets_its_error_target():
+    # the Monte Carlo branch sizes its run for std_error <= tol/3
+    tol = 5e-3
+    assert l1_auto(lacunary_set(8, 16), tol=tol, seed=1).std_error <= 1.1 * tol / 3
+
+
 def test_l1_auto_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         l1_auto(lacunary_set(8, 16), tol=1e-7)
@@ -146,12 +153,24 @@ def test_fourth_moment_singleton():
 
 def test_fourth_moment_lacunary_closed_form():
     # for q >= 3 lacunary sets the cosine-sum fourth moment is
-    # 3 n (n - 1) / 4 + 3 n / 8 (count the surviving quadruples directly)
-    for n in (2, 3, 4):
+    # 3 n (n - 1) / 4 + 3 n / 8 (count the surviving quadruples directly);
+    # the count is exact up to the 64-bit frequency 8^21
+    for n in range(1, 22):
         fs = lacunary_set(8, n)
         expect = 3 * n * (n - 1) / 4 + 3 * n / 8
-        val = fourth_moment_cos(fs)
-        assert abs(val - expect) < 1e-8
+        assert fourth_moment_cos(fs) == expect
+    assert fourth_moment_cos(lacunary_set(8, 21)) == 322.875
+
+
+def test_fourth_moment_matches_quadrature():
+    # reference: the Gauss-Legendre integral of (sum_j cos 4 pi k_j theta)^4,
+    # a trigonometric polynomial of degree 8 k_max
+    for fs in (make_frequency_set([1, 2, 3, 7]), mian_chowla(12)):
+        ref = integrate_periodic(
+            lambda th: sum(np.cos(4 * np.pi * k * th) for k in fs.freqs) ** 4,
+            8 * fs.k_max,
+        )
+        assert abs(fourth_moment_cos(fs) - ref) <= 1e-12 * ref
 
 
 def test_markov_tail_singleton_is_zero():
