@@ -12,16 +12,14 @@ import argparse
 import csv
 import io
 import json
-import math
 import secrets
 import sys
 from dataclasses import asdict
 
 from . import cltlab, energy, norms, records, search
 from .errors import LacsumError
-from .frequency import FrequencySet, lacunary_set, make_frequency_set, parse_freqs_file
+from .frequency import lacunary_set, make_frequency_set, parse_freqs_file
 from .norms import McConfig
-from .quadrature import QuadratureConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1

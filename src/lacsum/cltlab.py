@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import frequency as fq
 from . import rng
 from .errors import CapacityExceeded, DomainError
 from .frequency import FrequencySet
-from .norms import McConfig, _map_chunks
+from .norms import McConfig, _map_chunks, _tree_reduce
 
 DEFAULT_PHI_AXIS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -33,6 +32,11 @@ DEFAULT_PHI_AXIS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 # at any q >= 2, and small dense sets stay far below it; a dense set of large
 # frequencies, which would grow to 3^(2n) states, hits it within a second.
 _MAX_STATES = 1 << 16
+
+# ks_distance_to_normal evaluates the normal CDF at every _KS_KNOT_STEP-th
+# sorted sample, and at the others only near the maximum.
+_KS_KNOT_STEP = 64
+_KS_SLACK = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -242,35 +246,76 @@ def default_phi_grid() -> list[tuple[float, float]]:
     return [(s, t) for s in DEFAULT_PHI_AXIS for t in DEFAULT_PHI_AXIS]
 
 
+def _phase_rows(axis: list[float], x: np.ndarray) -> np.ndarray:
+    """e^{iax} for each a in axis, one row each; the row for a = 0 is exactly 1."""
+    rows = np.ones((len(axis), x.size), dtype=np.complex128)
+    for row, a in zip(rows, axis):
+        if a:
+            row.real, row.imag = np.cos(a * x), np.sin(a * x)
+    return rows
+
+
 def empirical_char_fn(
     fs: FrequencySet,
     grid: Sequence[tuple[float, float]],
     mc: McConfig,
     _samples: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> list[CharFnPoint]:
-    """Monte Carlo estimates of phi(s,t) = E[e^{is mu + it nu}] on a grid of (s,t)."""
+    """Monte Carlo estimates of phi(s,t) = E[e^{is mu + it nu}] on a grid of (s,t).
+
+    Per chunk, A and B hold e^{i|s| mu} and e^{i|t| nu} for each distinct |s|
+    and |t|, so A B^T and A conj(B)^T sum e^{i(|s| mu +- |t| nu)}; negative s
+    follows from phi(-s, t) = conj phi(s, -t). As |e^{ix}| = 1, the ddof=1
+    variances of Re and Im add up to N (1 - |phi|^2) / (N - 1).
+    """
+    if not all(math.isfinite(s) and math.isfinite(t) for s, t in grid):
+        raise DomainError("char-fn grid points must be finite")
     mu, nu = _samples if _samples is not None else sample_mu_nu(fs, mc)
     count = mu.size
+    s_abs = sorted({abs(s) for s, _ in grid})
+    t_abs = sorted({abs(t) for _, t in grid})
+
+    def sums(item):
+        lo = item[0] * mc.chunk_size
+        a = _phase_rows(s_abs, mu[lo : lo + item[1]])
+        b = _phase_rows(t_abs, nu[lo : lo + item[1]])
+        return np.stack([a @ b.T, a @ b.conj().T])
+
+    plus, minus = _tree_reduce(_map_chunks(sums, rng.chunk_layout(count, mc.chunk_size))) / count
     points = []
     for s, t in grid:
-        if s == 0.0 and t == 0.0:
-            points.append(CharFnPoint(s, t, complex(1.0), 0.0, 1.0))
-            continue
-        z = np.exp(1j * (s * mu + t * nu))
-        phi = complex(z.mean())
-        se = math.sqrt((z.real.var(ddof=1) + z.imag.var(ddof=1)) / count)
-        points.append(
-            CharFnPoint(s, t, phi, se, math.exp(-(s * s + t * t) / 4.0))
-        )
+        phi, se = complex(1.0), 0.0
+        if s or t:
+            i, j = s_abs.index(abs(s)), t_abs.index(abs(t))
+            phi = complex((plus if (s < 0) == (t < 0) else minus)[i, j])
+            phi = phi.conjugate() if s < 0 else phi
+            se = math.sqrt(max(1.0 - abs(phi) ** 2, 0.0) / (count - 1)) if count > 1 else math.nan
+        points.append(CharFnPoint(s, t, phi, se, math.exp(-(s * s + t * t) / 4.0)))
     return points
 
 
 def ks_distance_to_normal(sample: np.ndarray, sigma2: float) -> float:
-    """Exact one-sample Kolmogorov-Smirnov distance to N(0, sigma2)."""
+    """Exact one-sample Kolmogorov-Smirnov distance to N(0, sigma2).
+
+    Phi(x) = erfc(-x / sqrt(2 sigma2)) / 2 is monotone, so once it is known at
+    every _KS_KNOT_STEP-th sorted sample, the knot values bound every term in
+    between. Phi is evaluated at the other samples only in the blocks whose
+    bound comes within _KS_SLACK of the best knot term; the slack absorbs any
+    ulp-level non-monotonicity of the computed erfc.
+    """
     x = np.sort(np.asarray(sample, dtype=np.float64))
-    cdf = ndtr(x / math.sqrt(sigma2))
-    i = np.arange(1, x.size + 1, dtype=np.float64)
-    return float(max((i / x.size - cdf).max(), (cdf - (i - 1) / x.size).max()))
+    n = x.size
+    scale = math.sqrt(2.0 * sigma2)
+
+    def terms(idx):
+        cdf = np.array([0.5 * math.erfc(-v / scale) for v in x[idx].tolist()])
+        return cdf, max(((idx + 1.0) / n - cdf).max(), (cdf - idx / n).max())
+
+    knots = np.append(np.arange(0, n - 1, _KS_KNOT_STEP), n - 1)
+    cdf, best = terms(knots)
+    bound = np.maximum((knots[1:] + 1.0) / n - cdf[:-1], cdf[1:] - knots[:-1] / n)
+    near = [np.arange(knots[j] + 1, knots[j + 1]) for j in np.flatnonzero(bound >= best - _KS_SLACK)]
+    return float(max(best, terms(np.concatenate([knots[:1], *near]))[1]))
 
 
 @dataclass(frozen=True)

@@ -159,10 +159,6 @@ def evaluate_batch(fs: FrequencySet, thetas: Sequence[float]) -> np.ndarray:
 # (k*m mod 2^63) / 2^63: the low 63 bits of the wrapping uint64 product.
 # ---------------------------------------------------------------------------
 
-def dyadic_to_theta(m: np.ndarray) -> np.ndarray:
-    return m.astype(np.float64) / float(_TWO_63)
-
-
 def sum_components_dyadic(fs: FrequencySet, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Re S, Im S) at theta = m/2^63, vectorized over m (uint64, 63-bit)."""
     re = np.zeros(m.shape, dtype=np.float64)
@@ -216,9 +212,4 @@ def sum_values(fs: FrequencySet, thetas: np.ndarray) -> np.ndarray:
         ang = 2.0 * math.pi * _frac_mul(float(k), thetas)
         out += np.cos(ang) + 1j * np.sin(ang)
     return out
-
-
-def phases(fs: FrequencySet, thetas: np.ndarray) -> np.ndarray:
-    """2 pi k_j theta mod 2 pi, shape (n, len(thetas)); float path as sum_values."""
-    return np.stack([2.0 * math.pi * _frac_mul(float(k), thetas) for k in fs])
 

@@ -19,8 +19,6 @@ STREAM_THETA = 0
 STREAM_Z = 1
 STREAM_Y = 2
 
-_MASK63 = np.uint64(2**63 - 1)
-
 
 def generator_for(seed: int, stream: int, chunk: int) -> Generator:
     key = np.array(

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,24 @@ def only_record_dir(tmp_path):
     runs = sorted((tmp_path / "runs").iterdir())
     assert len(runs) >= 1
     return runs[-1]
+
+
+def test_import_loads_numpy_only():
+    # importing the package and its CLI loads no installed package but numpy
+    code = (
+        "import site, sys, sysconfig\n"
+        "dirs = (*site.getsitepackages(), site.getusersitepackages(),"
+        " *(sysconfig.get_paths()[k] for k in ('purelib', 'platlib')))\n"
+        "before = set(sys.modules)\n"
+        "import lacsum, lacsum.cli\n"
+        "files = {m: getattr(sys.modules[m], '__file__', None) or '' for m in set(sys.modules) - before}\n"
+        "print(sorted({m.split('.')[0] for m, f in files.items() if f.startswith(dirs)}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "['numpy']"
 
 
 def test_no_arguments_is_usage_error(capsys):

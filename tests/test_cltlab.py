@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -230,10 +231,13 @@ def test_empirical_char_fn_origin_exact():
     assert pts[0].std_error == 0.0
 
 
+def j0(s, terms=30):
+    """Oracle: Bessel J_0 from its power series sum_k (-1)^k (s/2)^{2k} / (k!)^2."""
+    return sum((-1) ** k * (s / 2) ** (2 * k) / math.factorial(k) ** 2 for k in range(terms))
+
+
 def test_empirical_char_fn_singleton_bessel():
     # n = 1: phi(s, 0) = E exp(i s sin 2 pi theta) = J_0(s)
-    from scipy.special import j0
-
     pts = empirical_char_fn(
         make_frequency_set([1]),
         [(1.0, 0.0), (2.0, 0.0)],
@@ -241,6 +245,44 @@ def test_empirical_char_fn_singleton_bessel():
     )
     for pt in pts:
         assert abs(pt.phi - j0(pt.s)) < 5 * pt.std_error + 1e-12
+
+
+def test_empirical_char_fn_matches_per_point_reference():
+    fs = lacunary_set(8, 6)
+    mc = McConfig(samples=50_000, seed=12, chunk_size=4096)
+    mu, nu = sample_mu_nu(fs, mc)
+    grid = [
+        (-1.0, 0.5), (-2.0, -1.0), (-0.5, 0.0),  # negative s only
+        (0.0, 1.0), (0.0, -2.0), (1.0, 0.0), (2.0, -0.0),
+        (-0.0, 0.0), (0.3, -0.7), (0.3, -0.7), (1.5, 0.25), (-0.3, 0.7),
+    ]
+    pts = empirical_char_fn(fs, grid, mc)
+    assert [(pt.s, pt.t) for pt in pts] == grid
+    for pt in pts:
+        if pt.s == 0.0 and pt.t == 0.0:
+            assert (pt.phi, pt.std_error) == (1.0, 0.0)
+            continue
+        z = np.exp(1j * (pt.s * mu + pt.t * nu))
+        se = math.sqrt((z.real.var(ddof=1) + z.imag.var(ddof=1)) / z.size)
+        assert abs(pt.phi - z.mean()) <= 1e-13
+        assert abs(pt.std_error - se) <= 1e-13
+        assert pt.gaussian == math.exp(-(pt.s**2 + pt.t**2) / 4)
+
+
+def test_empirical_char_fn_rejects_non_finite_points():
+    mc = McConfig(samples=1000, seed=0)
+    for bad in ((math.nan, 0.0), (1.0, math.inf), (-math.inf, 1.0)):
+        with pytest.raises(DomainError, match="finite"):
+            empirical_char_fn(lacunary_set(8, 3), [(1.0, 1.0), bad], mc)
+
+
+def test_empirical_char_fn_single_sample():
+    pts = empirical_char_fn(
+        lacunary_set(8, 3), [(1.0, 0.5), (0.0, 0.0)], McConfig(samples=1, seed=4)
+    )
+    assert abs(abs(pts[0].phi) - 1.0) < 1e-15
+    assert math.isnan(pts[0].std_error)
+    assert (pts[1].phi, pts[1].std_error) == (1.0, 0.0)
 
 
 def test_empirical_char_fn_near_gaussian():
@@ -259,6 +301,35 @@ def test_char_fn_within_deviation_bound_on_grid():
         gauss = math.exp(-(pt.s**2 + pt.t**2) / 4)
         gap = abs(pt.phi - gauss)
         assert gap <= deviation_bound(pt.s, pt.t, fs.n) + 4 * pt.std_error
+
+
+def ks_reference(sample, sigma2):
+    """Oracle: the KS statistic with the normal CDF evaluated at every sample."""
+    x = sorted(float(v) for v in sample)
+    n = len(x)
+    best = 0.0
+    for i, v in enumerate(x, start=1):
+        cdf = 0.5 * math.erfc(-v / math.sqrt(2.0 * sigma2))
+        best = max(best, i / n - cdf, cdf - (i - 1) / n)
+    return best
+
+
+def test_ks_distance_matches_full_evaluation():
+    rng = np.random.default_rng(31)
+    samples = [
+        rng.normal(scale=math.sqrt(0.5), size=20_000),
+        rng.normal(scale=0.6, size=5_000),
+        rng.uniform(-1.0, 1.0, size=3_000),
+        rng.normal(size=1),
+        rng.normal(size=2),
+        rng.normal(size=7),
+        np.round(rng.normal(size=4_000), 2),  # many ties
+        np.repeat([-0.3, 0.0, 0.1], [50, 100, 70]),
+    ]
+    for x in samples:
+        for sigma2 in (0.5, 1.0):
+            assert ks_distance_to_normal(x, sigma2) == ks_reference(x, sigma2)
+    assert ks_distance_to_normal(np.array([0.0]), 1.0) == 0.5
 
 
 def test_ks_distance_gaussian_and_not():
@@ -286,6 +357,16 @@ def test_clt_report_chain_audit_holds():
     assert abs(audit.sigma2_z - math.log(8) ** -0.125) < 1e-15
     for check in audit.inequalities():
         assert check["ok"], check["name"]
+
+
+def test_clt_report_identical_across_threads(monkeypatch):
+    fs = lacunary_set(8, 10)
+    mc = McConfig(samples=70_000, seed=17, chunk_size=8192)
+    reports = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("LACSUM_THREADS", workers)
+        reports.append(asdict(clt_report(fs, mc, with_chain_audit=True)))
+    assert reports[0] == reports[1]
 
 
 def test_chain_audit_requires_two_frequencies():
