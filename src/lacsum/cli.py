@@ -85,7 +85,6 @@ def build_parser() -> _Parser:
     _add_freq_flags(p)
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--phi-grid", default="default")
     p.add_argument("--chain-audit", action="store_true")
     p.add_argument("--report", help="also write the report JSON to this path")
     p.add_argument("--csv", help="write the phi grid as CSV to this path")
@@ -167,8 +166,6 @@ def _phi_point_dict(pt: cltlab.CharFnPoint) -> dict:
 
 def _exec_clt(config: dict):
     fs = make_frequency_set(config["freqs"])
-    if config.get("phi_grid", "default") != "default":
-        raise LacsumError("only the default phi grid is supported")
     report = cltlab.clt_report(
         fs,
         McConfig(samples=config["samples"], seed=config["seed"]),
@@ -270,7 +267,6 @@ def _config_from_args(args) -> dict:
             "freqs": _resolve_freqs(args),
             "samples": args.samples,
             "seed": _resolve_seed(args.seed),
-            "phi_grid": args.phi_grid,
             "chain_audit": args.chain_audit,
         }
     if sc == "search":

@@ -24,7 +24,7 @@ from . import frequency as fq
 from . import rng
 from .errors import CapacityExceeded, DomainError
 from .frequency import FrequencySet
-from .norms import McConfig, _map_chunks, _tree_reduce
+from .norms import McConfig, _map_chunks, _mean_and_error, _moment_sums, _tree_reduce
 
 DEFAULT_PHI_AXIS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -255,33 +255,58 @@ def _phase_rows(axis: list[float], x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def empirical_char_fn(
-    fs: FrequencySet,
-    grid: Sequence[tuple[float, float]],
-    mc: McConfig,
-    _samples: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> list[CharFnPoint]:
-    """Monte Carlo estimates of phi(s,t) = E[e^{is mu + it nu}] on a grid of (s,t).
+def _chain_audit(mc: McConfig, chain: tuple, item: tuple, x: np.ndarray, y: np.ndarray) -> list:
+    """_moment_sums of |X+Z|, |X+Z| truncated, |Y+Z|, |Y+Z| truncated, |Z| for one chunk.
 
-    Per chunk, A and B hold e^{i|s| mu} and e^{i|t| nu} for each distinct |s|
-    and |t|, so A B^T and A conj(B)^T sum e^{i(|s| mu +- |t| nu)}; negative s
-    follows from phi(-s, t) = conj phi(s, -t). As |e^{ix}| = 1, the ddof=1
-    variances of Re and Im add up to N (1 - |phi|^2) / (N - 1).
+    X = (x, y) is the chunk's (mu, nu); its Z and Y come from their own
+    streams. chain is (radius, sigma2_z); the order is FinalChainAudit's.
     """
-    if not all(math.isfinite(s) and math.isfinite(t) for s, t in grid):
-        raise DomainError("char-fn grid points must be finite")
-    mu, nu = _samples if _samples is not None else sample_mu_nu(fs, mc)
-    count = mu.size
+    radius, sigma2_z = chain
+    z = rng.chunk_gaussian_pairs(mc.seed, rng.STREAM_Z, *item, math.sqrt(sigma2_z))
+    g = rng.chunk_gaussian_pairs(mc.seed, rng.STREAM_Y, *item, math.sqrt(0.5))
+    xz = np.hypot(x + z[:, 0], y + z[:, 1])
+    yz = np.hypot(g[:, 0] + z[:, 0], g[:, 1] + z[:, 1])
+    return _moment_sums(xz, xz * (xz <= radius), yz, yz * (yz <= radius), np.hypot(*z.T))
+
+
+def _sample_pass(
+    fs: FrequencySet, mc: McConfig, grid: Sequence[tuple[float, float]], chain: Optional[tuple]
+) -> tuple[np.ndarray, list[CharFnPoint], np.ndarray, np.ndarray]:
+    """One chunked pass over the theta stream; every statistic is a per-chunk sum.
+
+    Each chunk returns one vector: the _moment_sums of |S|, mu, nu, mu nu
+    and, with chain, the _chain_audit sums; then A B^T and A conj(B)^T, where
+    A and B hold e^{i|s| mu} and e^{i|t| nu} for the distinct |s| and |t| of
+    the grid. Each per-sample quantity is summed as soon as it is made, so a
+    chunk holds few arrays at once. The vectors are summed in the fixed
+    _tree_reduce order, so the result does not depend on the worker count.
+    Negative s follows from phi(-s, t) = conj phi(s, -t); as |e^{ix}| = 1,
+    the ddof=1 variances of Re and Im add up to N (1 - |phi|^2) / (N - 1).
+
+    Returns the (sum, sum of squares) rows, the char-fn points, and mu and
+    nu, the only arrays kept at full length (the exact KS distance sorts them).
+    """
+    rt, count = math.sqrt(fs.n), mc.samples
     s_abs = sorted({abs(s) for s, _ in grid})
     t_abs = sorted({abs(t) for _, t in grid})
+    mu, nu = np.empty(count), np.empty(count)
 
     def sums(item):
         lo = item[0] * mc.chunk_size
-        a = _phase_rows(s_abs, mu[lo : lo + item[1]])
-        b = _phase_rows(t_abs, nu[lo : lo + item[1]])
-        return np.stack([a @ b.T, a @ b.conj().T])
+        x, y = mu[lo : lo + item[1]], nu[lo : lo + item[1]]
+        re, im = fq.sum_components_dyadic(fs, rng.chunk_uniform63(mc.seed, rng.STREAM_THETA, *item))
+        x[:], y[:] = im / rt, re / rt
+        moments = _moment_sums(np.hypot(re, im), x, y, x * y)
+        if chain:
+            moments += _chain_audit(mc, chain, item, x, y)
+        a, b = _phase_rows(s_abs, x), _phase_rows(t_abs, y)
+        plus = a @ b.T
+        minus = a @ np.conjugate(b, out=b).T  # in place: no copy of B
+        return np.concatenate([moments, plus.ravel(), minus.ravel()])
 
-    plus, minus = _tree_reduce(_map_chunks(sums, rng.chunk_layout(count, mc.chunk_size))) / count
+    total = _tree_reduce(_map_chunks(sums, rng.chunk_layout(count, mc.chunk_size)))
+    k = total.size - 2 * len(s_abs) * len(t_abs)
+    plus, minus = total[k:].reshape(2, len(s_abs), len(t_abs)) / count
     points = []
     for s, t in grid:
         phi, se = complex(1.0), 0.0
@@ -291,7 +316,16 @@ def empirical_char_fn(
             phi = phi.conjugate() if s < 0 else phi
             se = math.sqrt(max(1.0 - abs(phi) ** 2, 0.0) / (count - 1)) if count > 1 else math.nan
         points.append(CharFnPoint(s, t, phi, se, math.exp(-(s * s + t * t) / 4.0)))
-    return points
+    return total[:k].real.reshape(-1, 2), points, mu, nu
+
+
+def empirical_char_fn(
+    fs: FrequencySet, grid: Sequence[tuple[float, float]], mc: McConfig
+) -> list[CharFnPoint]:
+    """Monte Carlo estimates of phi(s,t) = E[e^{is mu + it nu}] on a grid of (s,t)."""
+    if not all(math.isfinite(s) and math.isfinite(t) for s, t in grid):
+        raise DomainError("char-fn grid points must be finite")
+    return _sample_pass(fs, mc, grid, None)[1]
 
 
 def ks_distance_to_normal(sample: np.ndarray, sigma2: float) -> float:
@@ -391,69 +425,30 @@ class CltReport:
     chain_audit: Optional[FinalChainAudit] = None
 
 
-def _mean_with_error(v: np.ndarray) -> ValueWithError:
-    return ValueWithError(
-        float(v.mean()), float(math.sqrt(v.var(ddof=1) / v.size)) if v.size > 1 else 0.0
-    )
+def clt_report(fs: FrequencySet, mc: McConfig, with_chain_audit: bool = False) -> CltReport:
+    """Empirical (mu, nu) statistics against the Gaussian targets, from one chunked pass.
 
-
-def _chain_audit(
-    fs: FrequencySet, mc: McConfig, mu: np.ndarray, nu: np.ndarray
-) -> FinalChainAudit:
-    n = fs.n
-    if n < 2:
+    The radial mean is sum |S| / N / sqrt(n), as in l1_monte_carlo.
+    """
+    count, rt = mc.samples, math.sqrt(fs.n)
+    if with_chain_audit and fs.n < 2:
         raise DomainError("the chain audit needs n >= 2 (log n must be positive)")
-    sigma2_z = math.log(n) ** -0.125
-    radius = math.log(n) ** 0.25
-    layout = rng.chunk_layout(mu.size, mc.chunk_size)
-
-    def draw(stream, sigma):
-        parts = _map_chunks(
-            lambda item: rng.chunk_gaussian_pairs(mc.seed, stream, item[0], item[1], sigma),
-            layout,
-        )
-        return np.concatenate(parts, axis=0)
-
-    z = draw(rng.STREAM_Z, math.sqrt(sigma2_z))
-    y = draw(rng.STREAM_Y, math.sqrt(0.5))
-
-    abs_x = np.hypot(mu, nu)
-    abs_xz = np.hypot(mu + z[:, 0], nu + z[:, 1])
-    abs_yz = np.hypot(y[:, 0] + z[:, 0], y[:, 1] + z[:, 1])
-    abs_z = np.hypot(z[:, 0], z[:, 1])
-    return FinalChainAudit(
-        truncation_radius=radius,
-        sigma2_z=sigma2_z,
-        e_abs_x=_mean_with_error(abs_x),
-        e_abs_xz=_mean_with_error(abs_xz),
-        e_abs_xz_trunc=_mean_with_error(abs_xz * (abs_xz <= radius)),
-        e_abs_yz=_mean_with_error(abs_yz),
-        e_abs_yz_trunc=_mean_with_error(abs_yz * (abs_yz <= radius)),
-        e_abs_z=_mean_with_error(abs_z),
-    )
-
-
-def clt_report(
-    fs: FrequencySet,
-    mc: McConfig,
-    phi_grid: Optional[Sequence[tuple[float, float]]] = None,
-    with_chain_audit: bool = False,
-) -> CltReport:
-    """Empirical (mu, nu) statistics against the Gaussian targets."""
-    mu, nu = sample_mu_nu(fs, mc)
-    radial = _mean_with_error(np.hypot(mu, nu))
-    grid = list(phi_grid) if phi_grid is not None else default_phi_grid()
-    points = empirical_char_fn(fs, grid, mc, _samples=(mu, nu))
-    audit = _chain_audit(fs, mc, mu, nu) if with_chain_audit else None
+    chain = (math.log(fs.n) ** 0.25, math.log(fs.n) ** -0.125) if with_chain_audit else None
+    moments, points, mu, nu = _sample_pass(fs, mc, default_phi_grid(), chain)
+    est = [ValueWithError(*_mean_and_error(s1, s2, count)) for s1, s2 in moments]
+    radial = ValueWithError(est[0].value / rt, est[0].std_error / rt)
+    (s_mu, s_mumu), (s_nu, s_nunu), (s_munu, _) = moments[1:4]
+    gram = np.array([[s_mumu, s_munu], [s_munu, s_nunu]])
+    gram -= np.outer([s_mu, s_nu], [s_mu, s_nu]) / count
     return CltReport(
         n=fs.n,
-        samples=mu.size,
+        samples=count,
         seed=mc.seed,
         radial_mean=radial.value,
         radial_std_error=radial.std_error,
         ks_mu=ks_distance_to_normal(mu, 0.5),
         ks_nu=ks_distance_to_normal(nu, 0.5),
-        cov_hat=np.cov(np.stack([mu, nu]), ddof=1).tolist(),
+        cov_hat=(gram / (count - 1) if count > 1 else np.full((2, 2), math.nan)).tolist(),
         phi_grid=points,
-        chain_audit=audit,
+        chain_audit=FinalChainAudit(*chain, radial, *est[4:]) if chain else None,
     )

@@ -78,25 +78,31 @@ def _tree_reduce(parts: list) -> np.ndarray:
     return items[0]
 
 
+def _moment_sums(*values: np.ndarray) -> list:
+    """sum v and sum v^2 of each array, in order."""
+    return [f for v in values for f in (v.sum(), np.square(v).sum())]
+
+
+def _mean_and_error(s1: float, s2: float, count: int) -> tuple[float, float]:
+    """Mean and ddof=1 standard error of count values from their sum s1 and sum of squares s2."""
+    mean = s1 / count
+    var = max(s2 / count - mean * mean, 0.0) * (count / (count - 1.0)) if count > 1 else math.nan
+    return float(mean), math.sqrt(var / count)
+
+
 def _mc_mean(
     fs: FrequencySet,
     cfg: McConfig,
     valfn: Callable[[FrequencySet, np.ndarray], np.ndarray],
-) -> tuple[float, float, int]:
+) -> tuple[float, float]:
     """Mean of valfn over cfg.samples iid theta draws, with its standard error."""
 
     def stats(item) -> np.ndarray:
-        chunk, count = item
-        m = rng.chunk_uniform63(cfg.seed, rng.STREAM_THETA, chunk, count)
-        v = valfn(fs, m)
-        return np.array([v.sum(), np.square(v).sum(), float(count)])
+        m = rng.chunk_uniform63(cfg.seed, rng.STREAM_THETA, *item)
+        return np.array(_moment_sums(valfn(fs, m)))
 
-    s1, s2, cnt = _tree_reduce(_map_chunks(stats, rng.chunk_layout(cfg.samples, cfg.chunk_size)))
-    mean = s1 / cnt
-    var = max(s2 / cnt - mean * mean, 0.0)
-    if cnt > 1:
-        var *= cnt / (cnt - 1.0)
-    return float(mean), float(math.sqrt(var / cnt)), int(cnt)
+    s1, s2 = _tree_reduce(_map_chunks(stats, rng.chunk_layout(cfg.samples, cfg.chunk_size)))
+    return _mean_and_error(s1, s2, cfg.samples)
 
 
 def _abs_sum_dyadic(fs: FrequencySet, m: np.ndarray) -> np.ndarray:
@@ -150,7 +156,7 @@ def lp_norm_quadrature(
 
 def l1_monte_carlo(fs: FrequencySet, cfg: McConfig) -> NormEstimate:
     """Unbiased Monte Carlo estimate of the L1 norm over the dyadic theta stream."""
-    mean, se, _ = _mc_mean(fs, cfg, _abs_sum_dyadic)
+    mean, se = _mc_mean(fs, cfg, _abs_sum_dyadic)
     rt = math.sqrt(fs.n)
     return NormEstimate(
         p=1,
@@ -208,5 +214,5 @@ def markov_tail_fraction(fs: FrequencySet, mc: McConfig) -> float:
     def indicator(f: FrequencySet, m: np.ndarray) -> np.ndarray:
         return (np.abs(fq.cos_double_sum_dyadic(f, m)) >= threshold).astype(np.float64)
 
-    mean, _, _ = _mc_mean(fs, mc, indicator)
+    mean, _ = _mc_mean(fs, mc, indicator)
     return mean

@@ -47,6 +47,7 @@ def test_no_arguments_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert run(["norms", "--freqs", "1,2", "--bogus"]) == 1
+    assert run(["clt", "--freqs", "1,2", "--phi-grid", "default"]) == 1
 
 
 def test_eval_payload(tmp_path, capsys):

@@ -2,6 +2,8 @@ import cmath
 import itertools
 import math
 import time
+import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -12,6 +14,7 @@ from lacsum import (
     GaussianSpec,
     McConfig,
     SmoothingInputs,
+    ValueWithError,
     alpha_at,
     alpha_mean,
     beta_at,
@@ -22,6 +25,7 @@ from lacsum import (
     evaluate_mu_nu,
     gaussian_abs_mean,
     ks_distance_to_normal,
+    l1_monte_carlo,
     lacunary_set,
     make_frequency_set,
     product_moment,
@@ -29,6 +33,7 @@ from lacsum import (
     smoothing_bound,
     w_remainder,
 )
+from lacsum import rng as lrng
 from lacsum.errors import CapacityExceeded, DomainError
 from lacsum.quadrature import integrate_periodic
 
@@ -376,3 +381,87 @@ def test_chain_audit_requires_two_frequencies():
             McConfig(samples=1000, seed=0),
             with_chain_audit=True,
         )
+
+
+def test_clt_report_is_one_pass_of_the_references():
+    fs = lacunary_set(8, 12)
+    mc = McConfig(samples=30_001, seed=23, chunk_size=4096)
+    rep = clt_report(fs, mc, with_chain_audit=True)
+    est = l1_monte_carlo(fs, mc)
+    assert rep.radial_mean == est.normalized
+    assert rep.radial_std_error == est.std_error / math.sqrt(fs.n)
+    assert rep.chain_audit.e_abs_x.value == rep.radial_mean
+    assert rep.chain_audit.e_abs_x.std_error == rep.radial_std_error
+    assert rep.phi_grid == empirical_char_fn(fs, default_phi_grid(), mc)
+    mu, nu = sample_mu_nu(fs, mc)
+    assert rep.ks_mu == ks_distance_to_normal(mu, 0.5)
+    assert rep.ks_nu == ks_distance_to_normal(nu, 0.5)
+
+
+def test_clt_report_matches_full_array_reference():
+    # reference: every statistic from full-length arrays, with two-pass
+    # mean/variance formulas and np.cov; 13 chunks, the last one short
+    fs = lacunary_set(8, 8)
+    mc = McConfig(samples=50_000, seed=12, chunk_size=4096)
+    rep = clt_report(fs, mc, with_chain_audit=True)
+    mu, nu = sample_mu_nu(fs, mc)
+    layout = lrng.chunk_layout(mc.samples, mc.chunk_size)
+    audit = rep.chain_audit
+
+    def gauss(stream, sigma):
+        pairs = [lrng.chunk_gaussian_pairs(mc.seed, stream, c, k, sigma) for c, k in layout]
+        return np.concatenate(pairs)
+
+    z = gauss(lrng.STREAM_Z, math.sqrt(math.log(8) ** -0.125))
+    y = gauss(lrng.STREAM_Y, math.sqrt(0.5))
+    abs_xz = np.hypot(mu + z[:, 0], nu + z[:, 1])
+    abs_yz = np.hypot(y[:, 0] + z[:, 0], y[:, 1] + z[:, 1])
+    r = math.log(8) ** 0.25
+    expected = {
+        "e_abs_x": np.hypot(mu, nu),
+        "e_abs_xz": abs_xz,
+        "e_abs_xz_trunc": abs_xz * (abs_xz <= r),
+        "e_abs_yz": abs_yz,
+        "e_abs_yz_trunc": abs_yz * (abs_yz <= r),
+        "e_abs_z": np.hypot(z[:, 0], z[:, 1]),
+    }
+    got = {name: getattr(audit, name) for name in expected}
+    got["radial"] = ValueWithError(rep.radial_mean, rep.radial_std_error)
+    expected["radial"] = expected["e_abs_x"]
+    for name, v in expected.items():
+        assert abs(got[name].value - v.mean()) <= 1e-15, name
+        assert abs(got[name].std_error - math.sqrt(v.var(ddof=1) / v.size)) <= 1e-17, name
+    assert np.abs(np.array(rep.cov_hat) - np.cov(np.stack([mu, nu]), ddof=1)).max() <= 1e-15
+
+
+def test_single_sample_reports_nan_uncertainty():
+    fs = lacunary_set(8, 4)
+    mc = McConfig(samples=1, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = l1_monte_carlo(fs, mc)
+        rep = clt_report(fs, mc, with_chain_audit=True)
+    assert math.isfinite(est.value) and math.isnan(est.std_error)
+    assert rep.radial_mean == est.normalized and math.isnan(rep.radial_std_error)
+    assert all(math.isnan(c) for row in rep.cov_hat for c in row)
+    for name in ("e_abs_x", "e_abs_xz", "e_abs_xz_trunc", "e_abs_yz", "e_abs_yz_trunc", "e_abs_z"):
+        assert math.isnan(getattr(rep.chain_audit, name).std_error), name
+
+
+def test_clt_report_memory_is_chunk_sized_plus_mu_nu(monkeypatch):
+    # only mu and nu are kept at full length (16 bytes per sample), and the
+    # KS distance sorts a copy of one of them at a time (8 more)
+    monkeypatch.setenv("LACSUM_THREADS", "1")
+    fs = lacunary_set(8, 6)
+    clt_report(fs, McConfig(samples=1000, seed=1), with_chain_audit=True)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for samples in (1 << 18, 1 << 19):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            clt_report(fs, McConfig(samples=samples, seed=1), with_chain_audit=True)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (1 << 18) <= 40
