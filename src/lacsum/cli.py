@@ -351,14 +351,13 @@ def run(argv=None) -> int:
     except SystemExit_Usage as exc:
         print(f"lacsum: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.subcommand == "replay":
-        try:
-            return _replay(args)
-        except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            print(f"lacsum: invalid run record: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-
     try:
+        if args.subcommand == "replay":
+            try:
+                return _replay(args)
+            except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+                print(f"lacsum: invalid run record: {exc}", file=sys.stderr)
+                return EXIT_USAGE
         config = _config_from_args(args)
         started = records.utc_stamp()
         payload = _EXECUTORS[args.subcommand](config)

@@ -270,8 +270,12 @@ def _chain_audit(mc: McConfig, chain: tuple, item: tuple, x: np.ndarray, y: np.n
 
 
 def _sample_pass(
-    fs: FrequencySet, mc: McConfig, grid: Sequence[tuple[float, float]], chain: Optional[tuple]
-) -> tuple[np.ndarray, list[CharFnPoint], np.ndarray, np.ndarray]:
+    fs: FrequencySet,
+    mc: McConfig,
+    grid: Sequence[tuple[float, float]],
+    chain: Optional[tuple],
+    keep_mu_nu: bool,
+) -> tuple[np.ndarray, list[CharFnPoint], Optional[np.ndarray], Optional[np.ndarray]]:
     """One chunked pass over the theta stream; every statistic is a per-chunk sum.
 
     Each chunk returns one vector: the _moment_sums of |S|, mu, nu, mu nu
@@ -283,20 +287,23 @@ def _sample_pass(
     Negative s follows from phi(-s, t) = conj phi(s, -t); as |e^{ix}| = 1,
     the ddof=1 variances of Re and Im add up to N (1 - |phi|^2) / (N - 1).
 
-    Returns the (sum, sum of squares) rows, the char-fn points, and mu and
-    nu, the only arrays kept at full length (the exact KS distance sorts them).
+    Returns the (sum, sum of squares) rows and the char-fn points, then, with
+    keep_mu_nu, mu and nu at full length (the exact KS distance sorts them),
+    else None twice.
     """
     rt, count = math.sqrt(fs.n), mc.samples
     s_abs = sorted({abs(s) for s, _ in grid})
     t_abs = sorted({abs(t) for _, t in grid})
-    mu, nu = np.empty(count), np.empty(count)
+    mu, nu = (np.empty(count), np.empty(count)) if keep_mu_nu else (None, None)
 
     def sums(item):
-        lo = item[0] * mc.chunk_size
-        x, y = mu[lo : lo + item[1]], nu[lo : lo + item[1]]
         re, im = fq.sum_components_dyadic(fs, rng.chunk_uniform63(mc.seed, rng.STREAM_THETA, *item))
-        x[:], y[:] = im / rt, re / rt
-        moments = _moment_sums(np.hypot(re, im), x, y, x * y)
+        moments = _moment_sums(np.hypot(re, im))
+        x, y = np.divide(im, rt, out=im), np.divide(re, rt, out=re)
+        if keep_mu_nu:
+            lo = item[0] * mc.chunk_size
+            mu[lo : lo + item[1]], nu[lo : lo + item[1]] = x, y
+        moments += _moment_sums(x, y, x * y)
         if chain:
             moments += _chain_audit(mc, chain, item, x, y)
         a, b = _phase_rows(s_abs, x), _phase_rows(t_abs, y)
@@ -325,7 +332,7 @@ def empirical_char_fn(
     """Monte Carlo estimates of phi(s,t) = E[e^{is mu + it nu}] on a grid of (s,t)."""
     if not all(math.isfinite(s) and math.isfinite(t) for s, t in grid):
         raise DomainError("char-fn grid points must be finite")
-    return _sample_pass(fs, mc, grid, None)[1]
+    return _sample_pass(fs, mc, grid, None, keep_mu_nu=False)[1]
 
 
 def ks_distance_to_normal(sample: np.ndarray, sigma2: float) -> float:
@@ -434,7 +441,7 @@ def clt_report(fs: FrequencySet, mc: McConfig, with_chain_audit: bool = False) -
     if with_chain_audit and fs.n < 2:
         raise DomainError("the chain audit needs n >= 2 (log n must be positive)")
     chain = (math.log(fs.n) ** 0.25, math.log(fs.n) ** -0.125) if with_chain_audit else None
-    moments, points, mu, nu = _sample_pass(fs, mc, default_phi_grid(), chain)
+    moments, points, mu, nu = _sample_pass(fs, mc, default_phi_grid(), chain, keep_mu_nu=True)
     est = [ValueWithError(*_mean_and_error(s1, s2, count)) for s1, s2 in moments]
     radial = ValueWithError(est[0].value / rt, est[0].std_error / rt)
     (s_mu, s_mumu), (s_nu, s_nunu), (s_munu, _) = moments[1:4]

@@ -19,10 +19,6 @@ from .errors import DomainError
 
 U64_MAX = 2**64 - 1
 
-_MASK63 = np.uint64(2**63 - 1)
-_TWO_63 = 2**63
-_PHASE_SCALE = 2.0 * math.pi / _TWO_63  # radians per dyadic unit
-
 
 @dataclass(frozen=True)
 class FrequencySet:
@@ -155,29 +151,108 @@ def evaluate_batch(fs: FrequencySet, thetas: Sequence[float]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Dyadic bulk paths (Monte Carlo internals)
 #
-# theta = m / 2^63 with m a 63-bit integer, so k*theta mod 1 is
-# (k*m mod 2^63) / 2^63: the low 63 bits of the wrapping uint64 product.
+# theta = m / 2^63 with m a 63-bit integer, so k*theta mod 1 is exactly the
+# 64-bit fraction w / 2^64 with w = (2k mod 2^64) * m, the wrapping uint64
+# product. e^{2 pi i w / 2^64} is taken from w without libm (Tang, ARITH
+# 1991): the top _TABLE_BITS bits of w index a table of e^{2 pi i j / 2^B},
+# the low bits x give r = 2 pi x / 2^64 < 2 pi / 2^B, short Taylor
+# polynomials give sin r and cos r, and one angle addition joins the two.
+# Only IEEE + and x and a gather touch the data, so the sums do not depend on
+# the platform's cos and sin. Each term is within ~2e-16 of e^{2 pi i k theta}.
 # ---------------------------------------------------------------------------
+
+_TABLE_BITS = 13
+_LOW_BITS = np.uint64(64 - _TABLE_BITS)
+_LOW_MASK = np.uint64(2 ** (64 - _TABLE_BITS) - 1)
+
+# Polynomials in the exact float x < 2^51: sin r = x (S1 + x^2 S3) and
+# cos r - 1 = x^2 (C2 + x^2 C4) with r = S1 x < 7.7e-4; the first omitted
+# terms, r^5/120 and r^6/720, are below 3e-18.
+_S1 = 2.0 * math.pi / 2.0**64
+_S3 = -(_S1**3) / 6.0
+_C2 = -(_S1**2) / 2.0
+_C4 = _S1**4 / 24.0
+
+# Points per block; the block's eight work arrays take 64 bytes per point,
+# 1 MB in all, and stay in a core's L2 cache. Each numpy call releases the
+# GIL only while it runs, so shorter blocks spend the time of a second
+# worker thread on passing the GIL back and forth, and longer ones raise the
+# peak memory of a threaded run.
+_BLOCK = 1 << 14
+
+
+def _unit_roots(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi j / 2^bits for every j < 2^bits.
+
+    math.cos and math.sin are taken on the first octant only, where the
+    rounded angle pi j / 2^(bits-1) <= pi/4 is most accurate; the other
+    entries follow by exact swaps and sign changes.
+    """
+    eighth = 1 << (bits - 3)
+    ang = [math.pi * j / (1 << (bits - 1)) for j in range(eighth + 1)]
+    c, s = np.array([math.cos(a) for a in ang]), np.array([math.sin(a) for a in ang])
+    qc = np.concatenate([c, s[-2:0:-1]])  # cos 2 pi j / 2^bits = sin 2 pi (2^bits/4 - j) / 2^bits
+    qs = np.concatenate([s, c[-2:0:-1]])
+    return np.concatenate([qc, -qs, -qc, qs]), np.concatenate([qs, qc, -qs, -qc])
+
+
+_TABLE_COS, _TABLE_SIN = _unit_roots(_TABLE_BITS)
+
+
+def _add_unit_roots(fs: FrequencySet, m: np.ndarray, factor: int, re: np.ndarray, im=None) -> None:
+    """re += sum_k cos 2 pi w_k / 2^64 and, given im, im += sum_k sin 2 pi w_k / 2^64.
+
+    w_k = (factor k mod 2^64) m wraps in uint64. m is split into _BLOCK-point
+    blocks that share one work buffer; within a block the frequencies are
+    added in order, as a per-frequency loop over all of m would.
+    """
+    mults = [np.uint64(factor * k % 2**64) for k in fs]
+    work = np.empty((8, min(_BLOCK, m.size)))
+    for lo in range(0, m.size, _BLOCK):
+        hi = min(lo + _BLOCK, m.size)
+        w, top = work[0, : hi - lo].view(np.uint64), work[1, : hi - lo].view(np.int64)
+        x, x2, sin_r, cos_r1, ca, sa = work[2:, : hi - lo]
+        t1, t2 = x, x2  # free again once the polynomials are taken
+        for mult in mults:
+            np.multiply(m[lo:hi], mult, out=w)
+            np.right_shift(w, _LOW_BITS, out=top, casting="unsafe")  # < 2^B: fits int64
+            np.bitwise_and(w, _LOW_MASK, out=w)
+            x[...] = w  # < 2^51: exact
+            np.multiply(x, x, out=x2)
+            np.multiply(x2, _S3, out=sin_r)
+            sin_r += _S1
+            sin_r *= x
+            np.multiply(x2, _C4, out=cos_r1)
+            cos_r1 += _C2
+            cos_r1 *= x2
+            # indices are in range; mode="clip" only spares numpy a copy of out
+            np.take(_TABLE_COS, top, out=ca, mode="clip")
+            np.take(_TABLE_SIN, top, out=sa, mode="clip")
+            # cos(a + r) = cos a + (cos a (cos r - 1) - sin a sin r), and
+            # sin(a + r) likewise: the correction is small, so only the last
+            # addition rounds at the size of the term
+            np.multiply(ca, cos_r1, out=t1)
+            t1 -= np.multiply(sa, sin_r, out=t2)
+            t1 += ca
+            re[lo:hi] += t1
+            if im is not None:
+                np.multiply(sa, cos_r1, out=t1)
+                t1 += np.multiply(ca, sin_r, out=t2)
+                t1 += sa
+                im[lo:hi] += t1
+
 
 def sum_components_dyadic(fs: FrequencySet, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Re S, Im S) at theta = m/2^63, vectorized over m (uint64, 63-bit)."""
-    re = np.zeros(m.shape, dtype=np.float64)
-    im = np.zeros(m.shape, dtype=np.float64)
-    for k in fs:
-        km = (np.uint64(k) * m) & _MASK63
-        ang = km.astype(np.float64) * _PHASE_SCALE
-        re += np.cos(ang)
-        im += np.sin(ang)
+    re, im = np.zeros(m.shape), np.zeros(m.shape)
+    _add_unit_roots(fs, m.reshape(-1), 2, re.reshape(-1), im.reshape(-1))
     return re, im
 
 
 def cos_double_sum_dyadic(fs: FrequencySet, m: np.ndarray) -> np.ndarray:
     """sum_j cos(4 pi k_j theta) at theta = m/2^63 (the doubled-frequency cosine sum)."""
-    out = np.zeros(m.shape, dtype=np.float64)
-    for k in fs:
-        km = (np.uint64(k) * m) & _MASK63
-        km2 = (km + km) & _MASK63
-        out += np.cos(km2.astype(np.float64) * _PHASE_SCALE)
+    out = np.zeros(m.shape)
+    _add_unit_roots(fs, m.reshape(-1), 4, out.reshape(-1))
     return out
 
 

@@ -20,23 +20,29 @@ STREAM_Z = 1
 STREAM_Y = 2
 
 
-def generator_for(seed: int, stream: int, chunk: int) -> Generator:
+def _philox(seed: int, stream: int, chunk: int) -> Philox:
     key = np.array(
         [np.uint64(seed & (2**64 - 1)), np.uint64((stream << 56) ^ chunk)],
         dtype=np.uint64,
     )
-    return Generator(Philox(key=key))
+    return Philox(key=key)
 
 
 def chunk_uniform63(seed: int, stream: int, chunk: int, count: int) -> np.ndarray:
-    """count dyadic numerators m, theta = m / 2^63, uniform on [0,1)."""
-    rg = generator_for(seed, stream, chunk)
-    return rg.integers(0, 1 << 63, size=count, dtype=np.uint64)
+    """count dyadic numerators m, theta = m / 2^63, uniform on [0,1).
+
+    Each m is a raw 64-bit Philox word shifted right by one. For the range
+    [0, 2^63) numpy's bounded draw integers(0, 2^63) never rejects and
+    returns exactly these values, so the stream is the same, at half the cost.
+    """
+    m = _philox(seed, stream, chunk).random_raw(count)
+    m >>= np.uint64(1)
+    return m
 
 
 def chunk_gaussian_pairs(seed: int, stream: int, chunk: int, count: int, sigma: float) -> np.ndarray:
     """count iid N(0, sigma^2) pairs, shape (count, 2)."""
-    rg = generator_for(seed, stream, chunk)
+    rg = Generator(_philox(seed, stream, chunk))
     return sigma * rg.standard_normal((count, 2))
 
 

@@ -239,6 +239,25 @@ def test_replay_rejects_other_schema(tmp_path, capsys):
     assert f"schema {current - 1}" in err and f"schema {current}" in err
 
 
+def test_replay_maps_rerun_errors_to_exit_codes(tmp_path, capsys):
+    # a re-run that raises ends like `run` does: one `lacsum:` line, no traceback
+    code, _ = run_in(
+        tmp_path, "norms", "--freqs", "1,2", "--method", "mc", "--samples", "100", capsys=capsys
+    )
+    assert code == 0
+    rec_path = only_record_dir(tmp_path) / "record.json"
+    original = json.loads(rec_path.read_text())
+    for key, value, expected in (("freqs", [1, 1], 2), ("samples", 0, 1)):
+        data = json.loads(json.dumps(original))
+        data["config"][key] = value
+        rec_path.write_text(json.dumps(data))
+        code = run(["--no-record", "replay", str(rec_path.parent)])
+        err = capsys.readouterr().err
+        assert code == expected, key
+        assert err.startswith("lacsum: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
 def test_no_record_writes_nothing(tmp_path, capsys):
     code, _ = run_in(
         tmp_path, "--no-record", "energy", "--freqs", "1,2", capsys=capsys

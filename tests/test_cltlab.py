@@ -465,3 +465,22 @@ def test_clt_report_memory_is_chunk_sized_plus_mu_nu(monkeypatch):
     finally:
         tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / (1 << 18) <= 40
+
+
+def test_empirical_char_fn_memory_is_chunk_sized(monkeypatch):
+    # the char fn keeps per-chunk sums only: no array grows with the samples
+    monkeypatch.setenv("LACSUM_THREADS", "1")
+    fs = lacunary_set(8, 6)
+    grid = default_phi_grid()
+    empirical_char_fn(fs, grid, McConfig(samples=1000, seed=1))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for samples in (1 << 18, 1 << 19):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            empirical_char_fn(fs, grid, McConfig(samples=samples, seed=1))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (1 << 18) <= 1

@@ -13,7 +13,8 @@ from lacsum import (
     parse_freqs_file,
     write_freqs_file,
 )
-from lacsum.frequency import sum_components_dyadic
+from lacsum import frequency as fq
+from lacsum.frequency import cos_double_sum_dyadic, sum_components_dyadic
 
 
 def test_make_frequency_set_sorts_and_freezes():
@@ -124,6 +125,72 @@ def test_dyadic_bulk_path_matches_exact_oracle():
         )
         assert abs(z.real - re[j]) < 1e-12 * fs.n
         assert abs(z.imag - im[j]) < 1e-12 * fs.n
+
+
+def unit_oracle(p, bits):
+    """(cos, sin) of 2 pi p / 2^bits: p reduced exactly in integers to the
+    nearest quarter turn plus an offset of at most an octant, whose angle
+    goes to math.cos / math.sin; the quarter turns are exact swaps."""
+    quarter = 1 << (bits - 2)
+    turns, offset = divmod(p + quarter // 2, quarter)
+    ang = math.pi * (offset - quarter // 2) / (1 << (bits - 1))
+    c, s = math.cos(ang), math.sin(ang)
+    for _ in range(turns % 4):
+        c, s = -s, c
+    return c, s
+
+
+def kernel_test_points():
+    """Random 63-bit m and the edge phases of the table kernel."""
+    b = fq._TABLE_BITS
+    edges = [0, 1, 2**63 - 1]
+    for j in (1, 2, 2 ** (b - 3), 2 ** (b - 2) - 1, 2 ** (b - 1), 2**b - 1):
+        edges += [j * 2 ** (63 - b) + d for d in (-1, 0, 1)]  # table boundaries at k = 1
+    edges += [2**62 + d for d in (-(2 ** (62 - b)), -2, -1, 0, 1, 2, 2 ** (62 - b))]  # the doubled phase wraps
+    random = np.random.default_rng(17).integers(0, 1 << 63, size=300, dtype=np.uint64)
+    return np.concatenate([np.array(edges, dtype=np.uint64), random])
+
+
+@pytest.mark.parametrize("k", [1, 3, 8**5, 8**21, 12345678901234567, 2**64 - 1])
+def test_dyadic_kernel_matches_octant_oracle(k):
+    m = kernel_test_points()
+    fs = make_frequency_set([k])
+    re, im = sum_components_dyadic(fs, m)
+    cos2 = cos_double_sum_dyadic(fs, m)
+    worst = 0.0
+    for j, mj in enumerate(m.tolist()):
+        c, s = unit_oracle(k * mj, 63)
+        c2, _ = unit_oracle(2 * k * mj, 63)
+        worst = max(worst, abs(re[j] - c), abs(im[j] - s), abs(cos2[j] - c2))
+    assert worst <= 8e-16
+
+
+def test_dyadic_sums_match_octant_oracle():
+    fs = lacunary_set(8, 16)
+    m = kernel_test_points()
+    re, im = sum_components_dyadic(fs, m)
+    cos2 = cos_double_sum_dyadic(fs, m)
+    for j, mj in enumerate(m.tolist()):
+        terms = [unit_oracle(k * mj, 63) for k in fs]
+        assert abs(re[j] - math.fsum(c for c, _ in terms)) <= fs.n * 8e-16
+        assert abs(im[j] - math.fsum(s for _, s in terms)) <= fs.n * 8e-16
+        assert abs(cos2[j] - math.fsum(unit_oracle(2 * k * mj, 63)[0] for k in fs)) <= fs.n * 8e-16
+
+
+def test_dyadic_kernel_does_not_depend_on_blocking():
+    # values are per point: any split of m gives the same bits, across the
+    # kernel's own block boundaries and a short last block
+    fs = make_frequency_set([3, 10, 8**20])
+    m = np.random.default_rng(5).integers(0, 1 << 63, size=2 * fq._BLOCK + 5, dtype=np.uint64)
+    re, im = sum_components_dyadic(fs, m)
+    cos2 = cos_double_sum_dyadic(fs, m)
+    for lo in range(0, m.size, 7777):
+        part = m[lo : lo + 7777]
+        pre, pim = sum_components_dyadic(fs, part)
+        assert np.array_equal(pre, re[lo : lo + 7777]) and np.array_equal(pim, im[lo : lo + 7777])
+        assert np.array_equal(cos_double_sum_dyadic(fs, part), cos2[lo : lo + 7777])
+    empty = np.zeros(0, dtype=np.uint64)
+    assert sum_components_dyadic(fs, empty)[0].size == 0 and cos_double_sum_dyadic(fs, empty).size == 0
 
 
 def test_freqs_file_roundtrip(tmp_path):
