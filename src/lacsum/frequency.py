@@ -5,6 +5,11 @@ Phase reduction k*theta mod 1 is done exactly: a float theta is a dyadic
 rational, so the reduction is integer arithmetic followed by one rounding.
 This matters because frequencies reach 8^21 ~ 9.2e18, where naive
 double-precision products lose all phase information.
+
+Every bulk evaluation (Monte Carlo, quadrature, the alpha/beta products)
+goes through one kernel, which takes each phase as an exact 64-bit fraction
+and e^{2 pi i phase} from a table without libm. evaluate_sum and
+evaluate_batch stay as the scalar libm references.
 """
 
 from __future__ import annotations
@@ -149,14 +154,15 @@ def evaluate_batch(fs: FrequencySet, thetas: Sequence[float]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dyadic bulk paths (Monte Carlo internals)
+# Dyadic bulk paths
 #
-# theta = m / 2^63 with m a 63-bit integer, so k*theta mod 1 is exactly the
-# 64-bit fraction w / 2^64 with w = (2k mod 2^64) * m, the wrapping uint64
-# product. e^{2 pi i w / 2^64} is taken from w without libm (Tang, ARITH
-# 1991): the top _TABLE_BITS bits of w index a table of e^{2 pi i j / 2^B},
-# the low bits x give r = 2 pi x / 2^64 < 2 pi / 2^B, short Taylor
-# polynomials give sin r and cos r, and one angle addition joins the two.
+# theta = m / 2^63 with m a 63-bit integer (Monte Carlo), so k*theta mod 1 is
+# exactly the 64-bit fraction w / 2^64 with w = (2k mod 2^64) * m, the
+# wrapping uint64 product; sum_values takes theta = m / 2^64 and factor 1.
+# e^{2 pi i w / 2^64} is taken from w without libm (Tang, ARITH 1991): the
+# top _TABLE_BITS bits of w index a table of e^{2 pi i j / 2^B}, the low
+# bits x give r = 2 pi x / 2^64 < 2 pi / 2^B, short Taylor polynomials give
+# sin r and cos r, and one angle addition joins the two.
 # Only IEEE + and x and a gather touch the data, so the sums do not depend on
 # the platform's cos and sin. Each term is within ~2e-16 of e^{2 pi i k theta}.
 # ---------------------------------------------------------------------------
@@ -256,35 +262,18 @@ def cos_double_sum_dyadic(fs: FrequencySet, m: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Float bulk path (quadrature internals)
-#
-# Dekker two-product reduction: exact residual of k*theta recovers the
-# fractional part to ~2^-52 as long as k < 2^26 (guaranteed by the
-# quadrature budget).
-# ---------------------------------------------------------------------------
+def sum_values(fs: FrequencySet, thetas) -> np.ndarray:
+    """S(theta) vectorized over a float array of any shape; theta is taken mod 1.
 
-_SPLIT = 2.0**27 + 1.0
-
-
-def _frac_mul(k: float, theta: np.ndarray) -> np.ndarray:
-    p = k * theta
-    kh = _SPLIT * k
-    kh = kh - (kh - k)
-    kl = k - kh
-    th = _SPLIT * theta
-    th = th - (th - theta)
-    tl = theta - th
-    err = ((kh * th - p) + kh * tl + kl * th) + kl * tl
-    r = (p % 1.0) + err
-    return r % 1.0
-
-
-def sum_values(fs: FrequencySet, thetas: np.ndarray) -> np.ndarray:
-    """S(theta) vectorized over a float array (k_max must be < 2^26)."""
-    out = np.zeros(thetas.shape, dtype=np.complex128)
-    for k in fs:
-        ang = 2.0 * math.pi * _frac_mul(float(k), thetas)
-        out += np.cos(ang) + 1j * np.sin(ang)
-    return out
-
+    theta mod 1 becomes m / 2^64 with m = floor((theta mod 1) 2^64), which
+    is exact for theta mod 1 >= 2^-11; a smaller theta moves by less than
+    2^-64, so its phase k theta by less than k 2^-64 turns. The dyadic kernel
+    then takes every phase k m mod 2^64 exactly.
+    """
+    th = np.asarray(thetas, dtype=np.float64)
+    frac = np.mod(th, 1.0).reshape(-1)
+    np.ldexp(frac, 64, out=frac)
+    frac[frac == 2.0**64] = 0.0  # a tiny negative theta rounds to 1 mod 1
+    out = np.zeros(frac.size, dtype=np.complex128)
+    _add_unit_roots(fs, frac.astype(np.uint64), 1, out.real, out.imag)
+    return out.reshape(th.shape)

@@ -1,4 +1,4 @@
-"""L^p norms of the exponential sum: deterministic quadrature and reproducible Monte Carlo.
+"""L^p norms of the exponential sum: exact L2 and L4, L1 by quadrature or reproducible Monte Carlo.
 
 The Monte Carlo estimators are bit-reproducible for a given
 (seed, samples, chunk_size): the draw stream is counter-based per chunk and
@@ -18,10 +18,10 @@ import numpy as np
 
 from . import frequency as fq
 from . import rng
-from .energy import _pair_sum_energy
+from .energy import _pair_sum_energy, count_quadruple_solutions
 from .errors import BudgetExceeded, FrequencyTooLarge
 from .frequency import FrequencySet
-from .quadrature import QuadratureConfig, integrate_abs_adaptive, integrate_periodic, panel_count
+from .quadrature import QuadratureConfig, integrate_abs_adaptive, panel_count
 
 MAX_MC_SAMPLES = 10**10
 
@@ -44,8 +44,8 @@ class NormEstimate:
     p: int
     value: float
     normalized: Optional[float]  # value / sqrt(n); reported for p = 1 only
-    std_error: Optional[float]   # absent for quadrature
-    method: str                  # "quadrature" | "monte-carlo"
+    std_error: Optional[float]   # absent for exact and quadrature values
+    method: str                  # "exact" | "quadrature" | "monte-carlo"
     n: int
     seed: Optional[int] = None
     samples: Optional[int] = None
@@ -123,31 +123,23 @@ def lp_norm_quadrature(
 ) -> NormEstimate:
     """Deterministic L^p norm, p in {1, 2, 4}.
 
-    For p in {2, 4} the integrand is a trigonometric polynomial and the
-    composite rule resolves it to near machine precision. For p = 1 the
-    integrand |S| has kinks at zeros of S; those panels are refined
-    adaptively and the accuracy is validated empirically against closed
-    forms.
+    For p in {2, 4} the norm is exact: ||S||_2^2 = n by Parseval and
+    ||S||_4^4 is the additive energy K, counted exactly for any 64-bit set.
+    For p = 1 the integrand |S| has kinks at zeros of S; those panels are
+    refined adaptively under the panel budget, and the accuracy is validated
+    empirically against closed forms.
     """
-    cfg = cfg or QuadratureConfig()
     if p not in (1, 2, 4):
         raise ValueError("p must be one of 1, 2, 4")
-    panel_count(fs.k_max, cfg)  # enforce the budget against k_max up front
-    if p == 1:
-        lip = 2.0 * math.pi * sum(fs.freqs)  # |S'| bound
-        value = integrate_abs_adaptive(
-            lambda th: np.abs(fq.sum_values(fs, th)), lip, fs.k_max, cfg
-        )
-    else:
-        # |S|^p has harmonics up to (p/2) * (k_max - k_min) < (p/2) * k_max
-        power = integrate_periodic(
-            lambda th: np.abs(fq.sum_values(fs, th)) ** p, (p // 2) * fs.k_max, cfg
-        )
-        value = float(power) ** (1.0 / p)
+    if p != 1:
+        value = math.sqrt(fs.n) if p == 2 else count_quadruple_solutions(fs) ** 0.25
+        return NormEstimate(p=p, value=value, normalized=None, std_error=None, method="exact", n=fs.n)
+    lip = 2.0 * math.pi * sum(fs.freqs)  # |S'| bound
+    value = integrate_abs_adaptive(lambda th: np.abs(fq.sum_values(fs, th)), lip, fs.k_max, cfg)
     return NormEstimate(
-        p=p,
+        p=1,
         value=value,
-        normalized=value / math.sqrt(fs.n) if p == 1 else None,
+        normalized=value / math.sqrt(fs.n),
         std_error=None,
         method="quadrature",
         n=fs.n,

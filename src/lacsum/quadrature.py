@@ -1,10 +1,9 @@
-"""Composite Gauss-Legendre quadrature on [0,1] for trigonometric integrands.
+"""Adaptive composite Gauss-Legendre quadrature of |S| on [0,1].
 
-The rule is 8-point Gauss-Legendre per panel, with the panel count scaled to
-the highest harmonic present. For smooth trigonometric polynomials the
-composite rule reaches machine precision well before the nominal exactness
-degree. Integrands with kinks (|S| at zeros of S) go through the adaptive
-variant, which bisects any panel that might contain a zero.
+The rule is 8-point Gauss-Legendre per panel, with the first-level panel
+count scaled to the highest harmonic present. |S| has kinks at the zeros of
+S, so any panel that might contain a zero is bisected. L2 and L4 norms need
+no quadrature: they are exact (see norms.lp_norm_quadrature).
 """
 
 from __future__ import annotations
@@ -20,6 +19,15 @@ from .errors import FrequencyTooLarge
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 _X01 = (_GL_X + 1.0) / 2.0  # nodes on [0,1]
 _W01 = _GL_W / 2.0
+
+# Panels narrower than this are accepted outright; their residual error is
+# O(lipschitz * _MIN_WIDTH^2) each. First-level widths are at most 1/8 and
+# halve per level, so no panel is split more than ~41 times.
+_MIN_WIDTH = 1e-13
+
+# First-level panels refined together, to bound peak memory: 2^17 panels are
+# 2^20 nodes, and the rule on |S| for {1, 3, 2^17} peaks at 70 MB of arrays.
+_BLOCK_PANELS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -43,57 +51,32 @@ def panel_count(max_harmonic: int, cfg: QuadratureConfig) -> int:
     return npanels
 
 
-def integrate_periodic(
-    fn: Callable[[np.ndarray], np.ndarray],
-    max_harmonic: int,
-    cfg: QuadratureConfig | None = None,
-):
-    """Integral of fn over [0,1]; fn must be vectorized, real or complex."""
-    cfg = cfg or QuadratureConfig()
-    npanels = panel_count(max_harmonic, cfg)
-    h = 1.0 / npanels
-    total = 0.0
-    is_complex = False
-    block = 1 << 17  # panels per evaluation block, to bound peak memory
-    for start in range(0, npanels, block):
-        lefts = np.arange(start, min(start + block, npanels), dtype=np.float64) * h
-        nodes = (lefts[:, None] + h * _X01[None, :]).ravel()
-        vals = np.asarray(fn(nodes)).reshape(-1, 8)
-        is_complex = is_complex or np.iscomplexobj(vals)
-        total = total + h * (vals @ _W01).sum()
-    return complex(total) if is_complex else float(total)
-
-
 def integrate_abs_adaptive(
     absfn: Callable[[np.ndarray], np.ndarray],
     lipschitz: float,
     max_harmonic: int,
     cfg: QuadratureConfig | None = None,
-    min_width: float = 1e-13,
 ) -> float:
     """Integral of a nonnegative function with isolated kinks at its zeros.
 
     A panel is accepted once its node minimum exceeds lipschitz * width
-    (so the panel cannot reach zero); otherwise it is bisected. Panels
-    narrower than min_width are accepted outright; their residual error is
-    O(lipschitz * min_width^2) each.
+    (so the panel cannot reach zero); otherwise it is bisected. The first
+    level goes in blocks of _BLOCK_PANELS panels, each refined to the end
+    before the next is evaluated.
     """
     cfg = cfg or QuadratureConfig()
     npanels = panel_count(max_harmonic, cfg)
-    lefts = np.arange(npanels, dtype=np.float64) / npanels
-    widths = np.full(npanels, 1.0 / npanels)
     total = 0.0
-    for _ in range(200):
-        if lefts.size == 0:
-            break
-        nodes = (lefts[:, None] + widths[:, None] * _X01[None, :]).ravel()
-        vals = absfn(nodes).reshape(-1, 8)
-        integ = widths * (vals @ _W01)
-        suspect = (vals.min(axis=1) < lipschitz * widths) & (widths > min_width)
-        total += float(integ[~suspect].sum())
-        lefts = np.repeat(lefts[suspect], 2)
-        widths = np.repeat(widths[suspect] / 2.0, 2)
-        lefts[1::2] += widths[1::2]
-    else:  # pragma: no cover - split loop is geometric, 200 levels is unreachable
-        total += float((widths * (absfn((lefts[:, None] + widths[:, None] * _X01[None, :]).ravel()).reshape(-1, 8) @ _W01)).sum())
+    for start in range(0, npanels, _BLOCK_PANELS):
+        lefts = np.arange(start, min(start + _BLOCK_PANELS, npanels), dtype=np.float64) / npanels
+        widths = np.full(lefts.size, 1.0 / npanels)
+        while lefts.size:
+            nodes = (lefts[:, None] + widths[:, None] * _X01[None, :]).ravel()
+            vals = absfn(nodes).reshape(-1, 8)
+            integ = widths * (vals @ _W01)
+            suspect = (vals.min(axis=1) < lipschitz * widths) & (widths > _MIN_WIDTH)
+            total += float(integ[~suspect].sum())
+            lefts = np.repeat(lefts[suspect], 2)
+            widths = np.repeat(widths[suspect] / 2.0, 2)
+            lefts[1::2] += widths[1::2]
     return total

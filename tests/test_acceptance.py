@@ -37,6 +37,7 @@ from lacsum import (
     smoothing_bound,
     w_remainder,
 )
+from oracles import exact_phase_sum
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -58,17 +59,22 @@ def test_criterion_01_closed_form_n2():
 
 
 def test_criterion_02_parseval_energy_oracle():
+    # integrals of |S|^2 and |S|^4 from the equispaced rule on exact integer
+    # phases, against n, the energy count and the library's exact norms
     rng = np.random.default_rng(2024)
     worst2 = worst4 = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 9))
         freqs = np.sort(rng.choice(np.arange(1, 2001), size=n, replace=False))
         fs = make_frequency_set(freqs.tolist())
-        l2sq = lp_norm_quadrature(fs, p=2).value ** 2
-        l4q = lp_norm_quadrature(fs, p=4).value ** 4
+        m = 2 * (fs.k_max - fs.freqs[0]) + 1  # |S|^4 has degree 2 (k_max - k_min)
+        sq = np.abs(exact_phase_sum(fs.freqs, np.arange(m), m)) ** 2
+        l2sq, l4q = np.mean(sq), np.mean(sq * sq)
         energy = count_quadruple_solutions(fs)
-        worst2 = max(worst2, abs(l2sq - n) / n)
-        worst4 = max(worst4, abs(l4q - energy) / energy)
+        worst2 = max(worst2, abs(l2sq - n) / n, abs(l2sq - lp_norm_quadrature(fs, p=2).value ** 2) / n)
+        worst4 = max(
+            worst4, abs(l4q - energy) / energy, abs(l4q - lp_norm_quadrature(fs, p=4).value ** 4) / energy
+        )
     ok = worst2 < 1e-9 and worst4 < 1e-8
     _report(2, "Parseval / energy oracle", ok, f"rel2={worst2:.2e} rel4={worst4:.2e}")
 

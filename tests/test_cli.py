@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lacsum import count_quadruple_solutions, lacunary_set
 from lacsum.cli import run
 from lacsum.records import load_record
 
@@ -99,6 +100,16 @@ def test_norms_overflow_is_computation_error(tmp_path, capsys):
         tmp_path, "norms", "--lacunary", "8,30", "--method", "quad", capsys=capsys
     )
     assert code == 2
+
+
+def test_norms_p4_is_exact_beyond_the_quadrature_budget(tmp_path, capsys):
+    code, out = run_in(tmp_path, "norms", "--p", "4", "--lacunary", "8,21", capsys=capsys)
+    assert code == 0
+    payload = json.loads(out)
+    energy = count_quadruple_solutions(lacunary_set(8, 21))
+    assert energy == 861
+    assert payload["method"] == "exact"
+    assert payload["value"] == energy ** 0.25
 
 
 def test_energy_payload(tmp_path, capsys):

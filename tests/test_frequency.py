@@ -193,6 +193,21 @@ def test_dyadic_kernel_does_not_depend_on_blocking():
     assert sum_components_dyadic(fs, empty)[0].size == 0 and cos_double_sum_dyadic(fs, empty).size == 0
 
 
+def test_sum_values_matches_scalar_reference():
+    # the bulk path runs the dyadic kernel on m = floor((theta mod 1) 2^64),
+    # exact for theta mod 1 >= 2^-11; the libm reference rounds each angle
+    rg = np.random.default_rng(3)
+    for _ in range(10):
+        fs = make_frequency_set(sorted({int(x) for x in rg.integers(1, 2**63, size=8)}))
+        th = np.concatenate([rg.random(200), -5 * rg.random(20), 1 + 7 * rg.random(20)])
+        th = th[np.mod(th, 1.0) >= 2**-11]
+        assert np.abs(fq.sum_values(fs, th) - evaluate_batch(fs, th)).max() <= fs.n * 1e-15
+    fs = lacunary_set(8, 5)
+    assert fq.sum_values(fs, np.zeros((2, 3))).shape == (2, 3)
+    assert fq.sum_values(fs, 0.0) == 5.0  # a float theta gives a 0-d array
+    assert fq.sum_values(fs, -1e-300) == 5.0  # -1e-300 mod 1 rounds to 1, which wraps to 0
+
+
 def test_freqs_file_roundtrip(tmp_path):
     fs = make_frequency_set([1, 8, 64, 4097])
     path = tmp_path / "freqs.txt"

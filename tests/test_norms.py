@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,23 +19,8 @@ from lacsum import (
 )
 from lacsum.energy import count_quadruple_solutions
 from lacsum.errors import BudgetExceeded, FrequencyTooLarge
-from lacsum.quadrature import integrate_periodic, panel_count
-
-
-def midpoint_l1(fs, m=2_000_000):
-    """Independent oracle: midpoint rule on a fine uniform grid.
-
-    At theta_i = (2i+1)/(2m) the phase k theta_i mod 1 is the exact integer
-    ratio (k (2i+1) mod 2m) / (2m).
-    """
-    odd = 2 * np.arange(m, dtype=np.int64) + 1
-    re = np.zeros(m)
-    im = np.zeros(m)
-    for k in fs:
-        ang = 2 * np.pi * ((k * odd) % (2 * m) / (2 * m))
-        re += np.cos(ang)
-        im += np.sin(ang)
-    return float(np.mean(np.hypot(re, im)))
+from lacsum.quadrature import panel_count
+from oracles import midpoint_l1, periodic_mean
 
 
 def test_l1_singleton_is_one():
@@ -84,6 +70,39 @@ def test_l1_shift_and_dilation_invariance():
     dilated = make_frequency_set([3 * k for k in base.freqs])
     assert abs(lp_norm_quadrature(shifted, p=1).value - ref) < 1e-8
     assert abs(lp_norm_quadrature(dilated, p=1).value - ref) < 1e-8
+
+
+def test_l1_two_term_kinks_near_panel_edges():
+    # |e(a theta) + e(300 theta)| = 2 |cos(pi (300 - a) theta)| has mean 4/pi.
+    # For these a some zeros of S lie closer to a panel edge than the first
+    # Gauss node, where a panel-against-halves error estimate sees no kink.
+    for a in (17, 46, 58, 62, 74, 82, 86, 94, 98, 151):
+        est = lp_norm_quadrature(make_frequency_set([a, 300]), p=1)
+        assert abs(est.value - 4 / math.pi) < 1e-12
+
+
+def test_l1_quadrature_memory_is_block_sized():
+    # 2^18 first-level panels, 2^21 nodes, refined in blocks of 2^17 panels:
+    # the peak stays below 48 bytes per first-level node, where evaluating
+    # every node at once peaks at ~120
+    fs = make_frequency_set([1, 3, 2**16])
+    tracemalloc.start()
+    try:
+        lp_norm_quadrature(fs, p=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**21
+
+
+def test_l2_and_l4_are_exact_for_64_bit_lacunary_sets():
+    # 8-lacunary sets are Sidon, so the energy is 2n^2 - n, up to k = 8^21
+    for n in range(1, 22):
+        fs = lacunary_set(8, n)
+        l2, l4 = lp_norm_quadrature(fs, p=2), lp_norm_quadrature(fs, p=4)
+        assert l2.method == l4.method == "exact"
+        assert l2.value == math.sqrt(n)
+        assert l4.value == (2 * n * n - n) ** 0.25
 
 
 def test_quadrature_budget_enforced():
@@ -172,10 +191,10 @@ def test_fourth_moment_lacunary_closed_form():
 
 
 def test_fourth_moment_matches_quadrature():
-    # reference: the Gauss-Legendre integral of (sum_j cos 4 pi k_j theta)^4,
+    # reference: the equispaced mean of (sum_j cos 4 pi k_j theta)^4,
     # a trigonometric polynomial of degree 8 k_max
     for fs in (make_frequency_set([1, 2, 3, 7]), mian_chowla(12)):
-        ref = integrate_periodic(
+        ref = periodic_mean(
             lambda th: sum(np.cos(4 * np.pi * k * th) for k in fs.freqs) ** 4,
             8 * fs.k_max,
         )
@@ -195,11 +214,3 @@ def test_markov_tail_below_reciprocal_n():
         frac = markov_tail_fraction(fs, McConfig(samples=200_000, seed=3))
         assert frac <= 1.0 / n
 
-
-def test_integrate_periodic_complex_passthrough():
-    val = integrate_periodic(lambda t: np.exp(2j * np.pi * t), 4)
-    assert isinstance(val, complex)
-    assert abs(val) < 1e-14
-    real = integrate_periodic(lambda t: np.cos(2 * np.pi * t) ** 2, 4)
-    assert isinstance(real, float)
-    assert abs(real - 0.5) < 1e-14
