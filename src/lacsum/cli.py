@@ -278,9 +278,12 @@ def _config_from_args(args) -> dict:
             "seed": _resolve_seed(args.seed),
         }
     if sc == "study":
+        n_list = [int(v) for v in args.n_list.split(",") if v.strip()]
+        if not n_list:
+            raise ValueError("--n-list needs at least one n, e.g. 4,8,16")
         return {
             "q": args.q,
-            "n_list": [int(v) for v in args.n_list.split(",") if v.strip()],
+            "n_list": n_list,
             "samples": int(args.samples),
             "seed": _resolve_seed(args.seed),
         }

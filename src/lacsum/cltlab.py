@@ -225,18 +225,7 @@ def smoothing_bound(inp: SmoothingInputs) -> float:
 
 def sample_mu_nu(fs: FrequencySet, mc: McConfig) -> tuple[np.ndarray, np.ndarray]:
     """mc.samples iid draws of (mu, nu) from the deterministic theta stream."""
-    rt = math.sqrt(fs.n)
-
-    def one(item):
-        chunk, count = item
-        m = rng.chunk_uniform63(mc.seed, rng.STREAM_THETA, chunk, count)
-        re, im = fq.sum_components_dyadic(fs, m)
-        return im / rt, re / rt
-
-    parts = _map_chunks(one, rng.chunk_layout(mc.samples, mc.chunk_size))
-    mu = np.concatenate([p[0] for p in parts])
-    nu = np.concatenate([p[1] for p in parts])
-    return mu, nu
+    return _sample_pass(fs, mc, [], None, keep_mu_nu=True)[2:]
 
 
 @dataclass(frozen=True)

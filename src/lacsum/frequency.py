@@ -248,9 +248,18 @@ def _add_unit_roots(fs: FrequencySet, m: np.ndarray, factor: int, re: np.ndarray
                 im[lo:hi] += t1
 
 
-def sum_components_dyadic(fs: FrequencySet, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Re S, Im S) at theta = m/2^63, vectorized over m (uint64, 63-bit)."""
-    re, im = np.zeros(m.shape), np.zeros(m.shape)
+def sum_components_dyadic(
+    fs: FrequencySet, m: np.ndarray, re: np.ndarray | None = None, im: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Re S, Im S) at theta = m/2^63, vectorized over m (uint64, 63-bit).
+
+    Given re and im (float64, contiguous, shaped like m), the sums are added
+    into them and they are returned. The frequencies are added one at a time
+    in order, so adding {k_1..k_a} and then {k_a+1..k_n} gives, bit for bit,
+    the sums of {k_1..k_n}.
+    """
+    if re is None:
+        re, im = np.zeros(m.shape), np.zeros(m.shape)
     _add_unit_roots(fs, m.reshape(-1), 2, re.reshape(-1), im.reshape(-1))
     return re, im
 

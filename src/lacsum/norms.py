@@ -4,6 +4,11 @@ The Monte Carlo estimators are bit-reproducible for a given
 (seed, samples, chunk_size): the draw stream is counter-based per chunk and
 the chunk statistics are combined by a fixed pairwise tree, so the result is
 independent of the worker count (set via LACSUM_THREADS).
+
+_mc_mean is the one theta pass behind every estimator here. It reduces each
+array its per-chunk function yields, so the L1 norms of nested prefixes
+{k_1..k_n} (the convergence study) come from one draw of theta and one
+running sum of S; l1_monte_carlo is the case of a single prefix.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -52,10 +57,21 @@ class NormEstimate:
 
 
 def num_workers() -> int:
-    env = os.environ.get("LACSUM_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Worker threads for the chunked passes: LACSUM_THREADS if set, else the CPU count.
+
+    An empty LACSUM_THREADS counts as unset; any other value that is not an
+    integer >= 1 raises ValueError.
+    """
+    env = os.environ.get("LACSUM_THREADS", "")
+    if not env.strip():
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"LACSUM_THREADS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 def _map_chunks(fn: Callable[[int], np.ndarray], layout) -> list:
@@ -93,21 +109,39 @@ def _mean_and_error(s1: float, s2: float, count: int) -> tuple[float, float]:
 def _mc_mean(
     fs: FrequencySet,
     cfg: McConfig,
-    valfn: Callable[[FrequencySet, np.ndarray], np.ndarray],
-) -> tuple[float, float]:
-    """Mean of valfn over cfg.samples iid theta draws, with its standard error."""
+    valfn: Callable[[FrequencySet, np.ndarray], Iterable[np.ndarray]],
+) -> list[tuple[float, float]]:
+    """Mean and standard error, over cfg.samples iid theta draws, of each array valfn yields.
+
+    valfn yields its arrays for one chunk of draws in a fixed order; each is
+    reduced to its _moment_sums as soon as it is made.
+    """
 
     def stats(item) -> np.ndarray:
         m = rng.chunk_uniform63(cfg.seed, rng.STREAM_THETA, *item)
-        return np.array(_moment_sums(valfn(fs, m)))
+        sums = []
+        for v in valfn(fs, m):
+            sums += _moment_sums(v)
+            del v  # free it before valfn makes the next one
+        return np.array(sums)
 
-    s1, s2 = _tree_reduce(_map_chunks(stats, rng.chunk_layout(cfg.samples, cfg.chunk_size)))
-    return _mean_and_error(s1, s2, cfg.samples)
+    total = _tree_reduce(_map_chunks(stats, rng.chunk_layout(cfg.samples, cfg.chunk_size)))
+    return [_mean_and_error(s1, s2, cfg.samples) for s1, s2 in total.reshape(-1, 2)]
 
 
-def _abs_sum_dyadic(fs: FrequencySet, m: np.ndarray) -> np.ndarray:
-    re, im = fq.sum_components_dyadic(fs, m)
-    return np.hypot(re, im)
+def _abs_prefix_sums(fs: FrequencySet, m: np.ndarray, ns: Sequence[int]) -> Iterator[np.ndarray]:
+    """|S| of the prefix {k_1..k_n} at theta = m/2^63 for each n in ns (ascending, distinct).
+
+    One pair of running sums takes the frequencies segment by segment, so
+    each prefix costs only its new frequencies and is bit-identical to
+    evaluating it alone.
+    """
+    re, im = np.zeros(m.shape), np.zeros(m.shape)
+    done = 0
+    for n in ns:
+        fq.sum_components_dyadic(FrequencySet(fs.freqs[done:n]), m, re, im)
+        done = n
+        yield np.hypot(re, im)
 
 
 def quadrature_fits(fs: FrequencySet, cfg: QuadratureConfig) -> bool:
@@ -148,18 +182,30 @@ def lp_norm_quadrature(
 
 def l1_monte_carlo(fs: FrequencySet, cfg: McConfig) -> NormEstimate:
     """Unbiased Monte Carlo estimate of the L1 norm over the dyadic theta stream."""
-    mean, se = _mc_mean(fs, cfg, _abs_sum_dyadic)
-    rt = math.sqrt(fs.n)
-    return NormEstimate(
-        p=1,
-        value=mean,
-        normalized=mean / rt,
-        std_error=se,
-        method="monte-carlo",
-        n=fs.n,
-        seed=cfg.seed,
-        samples=cfg.samples,
-    )
+    return _l1_prefixes(fs, [fs.n], cfg)[0]
+
+
+def _l1_prefixes(fs: FrequencySet, ns: Sequence[int], cfg: McConfig) -> list[NormEstimate]:
+    """l1_monte_carlo of the prefix {k_1..k_n} for each n in ns (ascending, distinct), in one theta pass.
+
+    Every prefix sees the same draws as l1_monte_carlo would give it, and
+    its estimate is bit-identical. The pass evaluates S once on fs and takes
+    |S| once per prefix.
+    """
+    moments = _mc_mean(fs, cfg, lambda f, m: _abs_prefix_sums(f, m, ns))
+    return [
+        NormEstimate(
+            p=1,
+            value=mean,
+            normalized=mean / math.sqrt(n),
+            std_error=se,
+            method="monte-carlo",
+            n=n,
+            seed=cfg.seed,
+            samples=cfg.samples,
+        )
+        for n, (mean, se) in zip(ns, moments)
+    ]
 
 
 def l1_auto(
@@ -203,8 +249,8 @@ def markov_tail_fraction(fs: FrequencySet, mc: McConfig) -> float:
     """
     threshold = fs.n ** 0.75
 
-    def indicator(f: FrequencySet, m: np.ndarray) -> np.ndarray:
-        return (np.abs(fq.cos_double_sum_dyadic(f, m)) >= threshold).astype(np.float64)
+    def indicator(f: FrequencySet, m: np.ndarray) -> Iterator[np.ndarray]:
+        yield (np.abs(fq.cos_double_sum_dyadic(f, m)) >= threshold).astype(np.float64)
 
-    mean, _ = _mc_mean(fs, mc, indicator)
+    [(mean, _)] = _mc_mean(fs, mc, indicator)
     return mean

@@ -3,6 +3,10 @@
 The L1 norm is invariant under shifting all frequencies and under dilating
 them by a positive integer, so the search runs over canonical
 representatives: minimum element 1 and gcd of pairwise differences 1.
+
+convergence_study measures the normalized L1 of {q, ..., q^n} across n by
+Monte Carlo. The sets are nested prefixes of one lacunary set, so all rows
+come from one theta pass over the largest.
 """
 
 from __future__ import annotations
@@ -11,13 +15,13 @@ import math
 from dataclasses import dataclass
 from math import comb, gcd
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, SearchSpaceTooLarge
 from .frequency import FrequencySet, lacunary_set, make_frequency_set
-from .norms import McConfig, l1_monte_carlo, lp_norm_quadrature
+from .norms import McConfig, _l1_prefixes, lp_norm_quadrature
 from .quadrature import QuadratureConfig
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0
@@ -190,23 +194,33 @@ def anneal_sigma(
 
 
 def convergence_study(
-    q: int, n_list: Sequence[int], mc: McConfig
+    q: int, n_list: Iterable[int], mc: McConfig
 ) -> list[StudyRow]:
-    """Normalized L1 of {q, ..., q^n} for each n, with the gap to sqrt(pi)/2."""
-    rows = []
-    for n in n_list:
-        est = l1_monte_carlo(lacunary_set(q, n), mc)
-        assert est.normalized is not None and est.std_error is not None
-        rt = math.sqrt(n)
-        rows.append(
-            StudyRow(
-                n=n,
-                normalized_l1=est.normalized,
-                std_error=est.std_error / rt,
-                gap_to_limit=SQRT_PI_OVER_2 - est.normalized,
-            )
+    """Normalized L1 of {q, ..., q^n} for each n, with the gap to sqrt(pi)/2.
+
+    Rows follow the order of n_list, and a duplicate n repeats its row. All
+    rows come from one theta pass over {q, ..., q^N}, N = max(n_list): each
+    row is bit-identical to l1_monte_carlo(lacunary_set(q, n), mc). The
+    study evaluates S once, on the N frequencies, and adds one |S| and its
+    sums per distinct n.
+    """
+    n_list = list(n_list)
+    if not n_list:
+        return []
+    ns = sorted(set(n_list))
+    fs = lacunary_set(q, ns[-1])
+    if ns[0] < 1:
+        raise DomainError("n must be >= 1")
+    est = dict(zip(ns, _l1_prefixes(fs, ns, mc)))
+    return [
+        StudyRow(
+            n=n,
+            normalized_l1=est[n].normalized,
+            std_error=est[n].std_error / math.sqrt(n),
+            gap_to_limit=SQRT_PI_OVER_2 - est[n].normalized,
         )
-    return rows
+        for n in n_list
+    ]
 
 
 def fit_rate_constant(rows: Sequence[StudyRow]) -> tuple[float, float]:

@@ -194,6 +194,14 @@ def test_study_payload_and_csv(tmp_path, capsys):
     assert header == "n,normalized_l1,std_error,gap_to_limit"
 
 
+@pytest.mark.parametrize("n_list", ["", ",", " , "])
+def test_study_rejects_empty_n_list(tmp_path, capsys, n_list):
+    code = run(["--runs-dir", str(tmp_path / "runs"), "study", "--q", "8", "--n-list", n_list])
+    assert code == 1
+    assert "--n-list" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_replay_matches(tmp_path, capsys):
     code, _ = run_in(
         tmp_path,

@@ -8,6 +8,7 @@ import pytest
 from lacsum import (
     McConfig,
     QuadratureConfig,
+    convergence_study,
     fourth_moment_cos,
     l1_auto,
     l1_monte_carlo,
@@ -19,6 +20,7 @@ from lacsum import (
 )
 from lacsum.energy import count_quadruple_solutions
 from lacsum.errors import BudgetExceeded, FrequencyTooLarge
+from lacsum.norms import num_workers
 from lacsum.quadrature import panel_count
 from oracles import midpoint_l1, periodic_mean
 
@@ -137,13 +139,27 @@ def test_mc_deterministic_across_worker_counts():
         for workers in ("1", "4", "8"):
             os.environ["LACSUM_THREADS"] = workers
             est = l1_monte_carlo(fs, cfg)
-            results.append((est.value, est.std_error))
+            results.append((est.value, est.std_error, convergence_study(8, [3, 10, 6], cfg)))
     finally:
         if old is None:
             os.environ.pop("LACSUM_THREADS", None)
         else:
             os.environ["LACSUM_THREADS"] = old
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_num_workers_rejects_bad_thread_counts(monkeypatch, value):
+    monkeypatch.setenv("LACSUM_THREADS", value)
+    with pytest.raises(ValueError, match=f"LACSUM_THREADS.*{value!r}"):
+        num_workers()
+
+
+def test_num_workers_reads_thread_count(monkeypatch):
+    monkeypatch.setenv("LACSUM_THREADS", " 3 ")
+    assert num_workers() == 3
+    monkeypatch.setenv("LACSUM_THREADS", "")
+    assert num_workers() == (os.cpu_count() or 1)
 
 
 def test_mc_seed_sensitivity():

@@ -13,10 +13,12 @@ from lacsum import (
     exhaustive_sigma,
     fit_rate_constant,
     holder_lower_bound,
+    l1_monte_carlo,
+    lacunary_set,
     lp_norm_quadrature,
     make_frequency_set,
 )
-from lacsum.errors import SearchSpaceTooLarge
+from lacsum.errors import DomainError, SearchSpaceTooLarge
 
 
 def test_limit_constant():
@@ -98,6 +100,38 @@ def test_convergence_study_rows():
     for r in rows:
         assert r.gap_to_limit == SQRT_PI_OVER_2 - r.normalized_l1
         assert r.std_error >= 0.0
+
+
+@pytest.mark.parametrize(
+    "q, n_list, mc",
+    [
+        (8, [4, 8, 16], McConfig(samples=10**6, seed=3)),
+        (3, [16, 4, 8, 4], McConfig(samples=70_001, seed=1, chunk_size=8192)),
+        (8, [1], McConfig(samples=5, seed=0, chunk_size=2)),
+    ],
+)
+def test_convergence_study_matches_per_n_estimates(q, n_list, mc):
+    # one theta pass over the nested prefixes gives the per-n estimates bit for bit
+    expected = []
+    for n in n_list:
+        est = l1_monte_carlo(lacunary_set(q, n), mc)
+        expected.append(
+            StudyRow(
+                n=n,
+                normalized_l1=est.normalized,
+                std_error=est.std_error / math.sqrt(n),
+                gap_to_limit=SQRT_PI_OVER_2 - est.normalized,
+            )
+        )
+    assert convergence_study(q, n_list, mc) == expected
+
+
+def test_convergence_study_empty_and_invalid_n():
+    assert convergence_study(8, [], McConfig(samples=10)) == []
+    with pytest.raises(DomainError):
+        convergence_study(8, [0, 2], McConfig(samples=10))
+    with pytest.raises(DomainError):
+        convergence_study(8, [2, 30], McConfig(samples=10))
 
 
 def test_convergence_study_approaches_limit():
