@@ -49,7 +49,10 @@ def _resolve_freqs(args) -> list[int]:
         return [int(v) for v in args.freqs.split(",") if v.strip()]
     if args.freqs_file:
         return list(parse_freqs_file(args.freqs_file).freqs)
-    q, n = (int(v) for v in args.lacunary.split(","))
+    try:
+        q, n = (int(v) for v in args.lacunary.split(","))
+    except ValueError:
+        raise ValueError(f"--lacunary takes q,n, e.g. 8,16; got {args.lacunary!r}") from None
     return list(lacunary_set(q, n).freqs)
 
 

@@ -24,7 +24,7 @@ from . import frequency as fq
 from . import rng
 from .errors import CapacityExceeded, DomainError
 from .frequency import FrequencySet
-from .norms import McConfig, _map_chunks, _mean_and_error, _moment_sums, _tree_reduce
+from .norms import McConfig, _mc_mean, _mean_and_error, _moment_sums
 
 DEFAULT_PHI_AXIS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -271,14 +271,14 @@ def _sample_pass(
     chain: Optional[tuple],
     keep_mu_nu: bool,
 ) -> tuple[np.ndarray, list[CharFnPoint], Optional[np.ndarray], Optional[np.ndarray]]:
-    """One chunked pass over the theta stream; every statistic is a per-chunk sum.
+    """Every CLT statistic as one per-chunk sum vector, through the norms._mc_mean driver.
 
     Each chunk returns one vector: the _moment_sums of |S|, mu, nu, mu nu
     and, with chain, the _chain_audit sums; then A B^T and A conj(B)^T, where
     A and B hold e^{i|s| mu} and e^{i|t| nu} for the distinct |s| and |t| of
     the grid. Each per-sample quantity is summed as soon as it is made, so a
-    chunk holds few arrays at once. The vectors are summed in the fixed
-    _tree_reduce order, so the result does not depend on the worker count.
+    chunk holds few arrays at once. _mc_mean sums the vectors in a fixed
+    order, so the result does not depend on the worker count.
     Negative s follows from phi(-s, t) = conj phi(s, -t); as |e^{ix}| = 1,
     the ddof=1 variances of Re and Im add up to N (1 - |phi|^2) / (N - 1).
 
@@ -291,8 +291,9 @@ def _sample_pass(
     t_abs = sorted({abs(t) for _, t in grid})
     mu, nu = (np.empty(count), np.empty(count)) if keep_mu_nu else (None, None)
 
-    def sums(item):
-        re, im = fq.sum_components_dyadic(fs, rng.chunk_uniform63(mc.seed, rng.STREAM_THETA, *item))
+    def sums(item, m):
+        re, im = fq.sum_components_dyadic(fs, m)
+        del m  # the draws are dead once S is evaluated; free them before the grid
         moments = _moment_sums(np.hypot(re, im))
         x, y = np.divide(im, rt, out=im), np.divide(re, rt, out=re)
         if keep_mu_nu:
@@ -306,7 +307,7 @@ def _sample_pass(
         minus = a @ np.conjugate(b, out=b).T  # in place: no copy of B
         return np.concatenate([moments, plus.ravel(), minus.ravel()])
 
-    total = _tree_reduce(_map_chunks(sums, rng.chunk_layout(count, mc.chunk_size)))
+    total = _mc_mean(mc, sums)
     k = total.size - 2 * len(s_abs) * len(t_abs)
     plus, minus = total[k:].reshape(2, len(s_abs), len(t_abs)) / count
     points = []
@@ -341,6 +342,10 @@ def ks_distance_to_normal(sample: np.ndarray, sigma2: float) -> float:
     """
     x = np.sort(np.asarray(sample, dtype=np.float64))
     n = x.size
+    if n == 0:
+        raise DomainError("sample must be nonempty")
+    if not 0 < sigma2 < math.inf:
+        raise DomainError(f"sigma2 must be positive and finite, got {sigma2!r}")
     scale = math.sqrt(2.0 * sigma2)
 
     def terms(idx):

@@ -94,7 +94,7 @@ def lacunary_set(q: int, n: int) -> FrequencySet:
         raise DomainError("lacunary base q must be >= 2")
     if n < 1:
         raise DomainError("n must be >= 1")
-    if q**n > U64_MAX:
+    if n >= 64 or q**n > U64_MAX:  # q >= 2, so n >= 64 is out of range: skip the huge power
         raise DomainError(f"{q}^{n} exceeds the 64-bit frequency range")
     return FrequencySet(tuple(q**j for j in range(1, n + 1)))
 

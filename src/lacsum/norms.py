@@ -5,10 +5,11 @@ The Monte Carlo estimators are bit-reproducible for a given
 the chunk statistics are combined by a fixed pairwise tree, so the result is
 independent of the worker count (set via LACSUM_THREADS).
 
-_mc_mean is the one theta pass behind every estimator here. It reduces each
-array its per-chunk function yields, so the L1 norms of nested prefixes
-{k_1..k_n} (the convergence study) come from one draw of theta and one
-running sum of S; l1_monte_carlo is the case of a single prefix.
+_mc_mean is the one theta driver of the package: it draws every chunk once
+and sums the vector its caller's chunk function returns, so every Monte
+Carlo statistic, here and in cltlab, is a sum over the same stream. The L1
+norms of nested prefixes {k_1..k_n} (the convergence study) take one draw of
+theta and one running sum of S; l1_monte_carlo is the case of a single prefix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -106,42 +107,34 @@ def _mean_and_error(s1: float, s2: float, count: int) -> tuple[float, float]:
     return float(mean), math.sqrt(var / count)
 
 
-def _mc_mean(
-    fs: FrequencySet,
-    cfg: McConfig,
-    valfn: Callable[[FrequencySet, np.ndarray], Iterable[np.ndarray]],
-) -> list[tuple[float, float]]:
-    """Mean and standard error, over cfg.samples iid theta draws, of each array valfn yields.
+def _mc_mean(cfg: McConfig, chunk_sums: Callable[[tuple, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Sum, over cfg.samples iid theta draws, of the vector chunk_sums returns per chunk.
 
-    valfn yields its arrays for one chunk of draws in a fixed order; each is
-    reduced to its _moment_sums as soon as it is made.
+    chunk_sums(item, m) gets a (chunk, count) item of rng.chunk_layout and
+    that chunk's draws m, theta = m/2^63; the draw is bound nowhere here, so
+    chunk_sums can free it once it has evaluated S. The per-chunk vectors are
+    combined in the fixed _tree_reduce order.
     """
-
-    def stats(item) -> np.ndarray:
-        m = rng.chunk_uniform63(cfg.seed, rng.STREAM_THETA, *item)
-        sums = []
-        for v in valfn(fs, m):
-            sums += _moment_sums(v)
-            del v  # free it before valfn makes the next one
-        return np.array(sums)
-
-    total = _tree_reduce(_map_chunks(stats, rng.chunk_layout(cfg.samples, cfg.chunk_size)))
-    return [_mean_and_error(s1, s2, cfg.samples) for s1, s2 in total.reshape(-1, 2)]
+    return _tree_reduce(_map_chunks(
+        lambda item: chunk_sums(item, rng.chunk_uniform63(cfg.seed, rng.STREAM_THETA, *item)),
+        rng.chunk_layout(cfg.samples, cfg.chunk_size),
+    ))
 
 
-def _abs_prefix_sums(fs: FrequencySet, m: np.ndarray, ns: Sequence[int]) -> Iterator[np.ndarray]:
-    """|S| of the prefix {k_1..k_n} at theta = m/2^63 for each n in ns (ascending, distinct).
+def _abs_prefix_sums(fs: FrequencySet, m: np.ndarray, ns: Sequence[int]) -> np.ndarray:
+    """_moment_sums of |S| at theta = m/2^63 for each prefix {k_1..k_n}, n in ns (ascending, distinct).
 
     One pair of running sums takes the frequencies segment by segment, so
     each prefix costs only its new frequencies and is bit-identical to
     evaluating it alone.
     """
     re, im = np.zeros(m.shape), np.zeros(m.shape)
-    done = 0
+    sums, done = [], 0
     for n in ns:
         fq.sum_components_dyadic(FrequencySet(fs.freqs[done:n]), m, re, im)
         done = n
-        yield np.hypot(re, im)
+        sums += _moment_sums(np.hypot(re, im))
+    return np.array(sums)
 
 
 def quadrature_fits(fs: FrequencySet, cfg: QuadratureConfig) -> bool:
@@ -192,7 +185,8 @@ def _l1_prefixes(fs: FrequencySet, ns: Sequence[int], cfg: McConfig) -> list[Nor
     its estimate is bit-identical. The pass evaluates S once on fs and takes
     |S| once per prefix.
     """
-    moments = _mc_mean(fs, cfg, lambda f, m: _abs_prefix_sums(f, m, ns))
+    total = _mc_mean(cfg, lambda item, m: _abs_prefix_sums(fs, m, ns))
+    moments = [_mean_and_error(s1, s2, cfg.samples) for s1, s2 in total.reshape(-1, 2)]
     return [
         NormEstimate(
             p=1,
@@ -248,9 +242,6 @@ def markov_tail_fraction(fs: FrequencySet, mc: McConfig) -> float:
     Ties at the threshold count as exceeding (a measure-zero convention).
     """
     threshold = fs.n ** 0.75
-
-    def indicator(f: FrequencySet, m: np.ndarray) -> Iterator[np.ndarray]:
-        yield (np.abs(fq.cos_double_sum_dyadic(f, m)) >= threshold).astype(np.float64)
-
-    [(mean, _)] = _mc_mean(fs, mc, indicator)
-    return mean
+    hits = _mc_mean(mc, lambda item, m: np.count_nonzero(
+        np.abs(fq.cos_double_sum_dyadic(fs, m)) >= threshold))
+    return int(hits) / mc.samples

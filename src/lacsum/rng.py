@@ -5,7 +5,7 @@ Every chunk of draws is generated by a Philox generator keyed by
 chunk partition, never on which worker produced it.
 
 Stream tags keep independent uses of the same seed apart:
-  0  uniform theta draws (norms + clt sampling share this stream)
+  0  uniform theta draws, drawn only by norms._mc_mean for every Monte Carlo statistic
   1  the smoothing Gaussian Z
   2  the reference Gaussian Y
 """

@@ -202,6 +202,15 @@ def test_study_rejects_empty_n_list(tmp_path, capsys, n_list):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("lacunary", ["8", "8,2,3", "a,b"])
+def test_malformed_lacunary_names_the_flag(tmp_path, capsys, lacunary):
+    code = run(["--runs-dir", str(tmp_path / "runs"), "norms", "--lacunary", lacunary])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--lacunary" in err and "q,n" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_replay_matches(tmp_path, capsys):
     code, _ = run_in(
         tmp_path,

@@ -337,6 +337,15 @@ def test_ks_distance_matches_full_evaluation():
     assert ks_distance_to_normal(np.array([0.0]), 1.0) == 0.5
 
 
+@pytest.mark.parametrize(
+    "sample, sigma2, name",
+    [(np.array([]), 0.5, "sample"), (np.zeros(3), 0.0, "sigma2"), (np.zeros(3), -1.0, "sigma2")],
+)
+def test_ks_distance_rejects_bad_input(sample, sigma2, name):
+    with pytest.raises(DomainError, match=name):
+        ks_distance_to_normal(sample, sigma2)
+
+
 def test_ks_distance_gaussian_and_not():
     rng = np.random.default_rng(21)
     good = rng.normal(scale=math.sqrt(0.5), size=100_000)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lacsum import (
     write_freqs_file,
 )
 from lacsum import frequency as fq
+from lacsum.errors import DomainError
 from lacsum.frequency import cos_double_sum_dyadic, sum_components_dyadic
 
 
@@ -43,6 +45,13 @@ def test_lacunary_set():
     # 8**22 > 2**63-1 would overflow the exact dyadic path
     with pytest.raises(ValueError):
         lacunary_set(8, 22)
+
+
+def test_lacunary_set_rejects_huge_n_before_the_power():
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="8\\^1000000000 exceeds the 64-bit frequency range"):
+        lacunary_set(8, 10**9)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_gap_ratio():

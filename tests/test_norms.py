@@ -8,7 +8,10 @@ import pytest
 from lacsum import (
     McConfig,
     QuadratureConfig,
+    clt_report,
     convergence_study,
+    default_phi_grid,
+    empirical_char_fn,
     fourth_moment_cos,
     l1_auto,
     l1_monte_carlo,
@@ -17,7 +20,9 @@ from lacsum import (
     make_frequency_set,
     markov_tail_fraction,
     mian_chowla,
+    sample_mu_nu,
 )
+from lacsum import rng
 from lacsum.energy import count_quadruple_solutions
 from lacsum.errors import BudgetExceeded, FrequencyTooLarge
 from lacsum.norms import num_workers
@@ -139,13 +144,45 @@ def test_mc_deterministic_across_worker_counts():
         for workers in ("1", "4", "8"):
             os.environ["LACSUM_THREADS"] = workers
             est = l1_monte_carlo(fs, cfg)
-            results.append((est.value, est.std_error, convergence_study(8, [3, 10, 6], cfg)))
+            results.append((
+                est.value,
+                est.std_error,
+                convergence_study(8, [3, 10, 6], cfg),
+                markov_tail_fraction(fs, cfg),
+                empirical_char_fn(fs, [(0.5, 1.0), (-1.0, 0.5), (0.5, -2.0), (-0.5, -1.0)], cfg),
+            ))
     finally:
         if old is None:
             os.environ.pop("LACSUM_THREADS", None)
         else:
             os.environ["LACSUM_THREADS"] = old
     assert results[0] == results[1] == results[2]
+
+
+def test_every_mc_statistic_draws_each_chunk_once(monkeypatch):
+    mc = McConfig(samples=5000, seed=9, chunk_size=1000)
+    fs = lacunary_set(8, 4)
+    draws = []
+    original = rng.chunk_uniform63
+
+    def counted(*args):
+        draws.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rng, "chunk_uniform63", counted)
+    expected = [(mc.seed, rng.STREAM_THETA, c, k) for c, k in rng.chunk_layout(mc.samples, mc.chunk_size)]
+    assert len(expected) == 5
+    for statistic in (
+        lambda: l1_monte_carlo(fs, mc),
+        lambda: convergence_study(8, [4, 2, 3], mc),
+        lambda: markov_tail_fraction(fs, mc),
+        lambda: empirical_char_fn(fs, default_phi_grid(), mc),
+        lambda: sample_mu_nu(fs, mc),
+        lambda: clt_report(fs, mc, with_chain_audit=True),
+    ):
+        draws.clear()
+        statistic()
+        assert sorted(draws) == expected
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
