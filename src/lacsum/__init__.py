@@ -38,9 +38,6 @@ from .errors import (
 )
 from .frequency import (
     FrequencySet,
-    MuNu,
-    evaluate_batch,
-    evaluate_mu_nu,
     evaluate_sum,
     lacunary_set,
     make_frequency_set,
@@ -56,7 +53,6 @@ from .norms import (
     lp_norm_quadrature,
     markov_tail_fraction,
 )
-from .quadrature import QuadratureConfig
 from .search import (
     SQRT_PI_OVER_2,
     SearchResult,
@@ -65,7 +61,6 @@ from .search import (
     canonicalize,
     convergence_study,
     exhaustive_sigma,
-    fit_rate_constant,
 )
 
 __version__ = "0.1.0"

@@ -56,6 +56,17 @@ def _resolve_freqs(args) -> list[int]:
     return list(lacunary_set(q, n).freqs)
 
 
+def _whole_number(text: str) -> int:
+    """A whole number in integer or float notation (1000000, 1e6); not 1.5, inf or nan."""
+    try:
+        value = float(text)
+        if value.is_integer():
+            return int(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
+
+
 def _resolve_seed(value) -> int:
     return int(value) if value is not None else secrets.randbits(63)
 
@@ -102,7 +113,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("study", help="q-lacunary convergence study")
     p.add_argument("--q", type=int, default=8)
     p.add_argument("--n-list", required=True, help="comma-separated, e.g. 4,8,16")
-    p.add_argument("--samples", type=float, default=10**6)
+    p.add_argument("--samples", type=_whole_number, default=10**6)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--csv", help="write rows as CSV to this path")
 
@@ -220,7 +231,7 @@ def _exec_study(config: dict):
         McConfig(samples=config["samples"], seed=config["seed"]),
     )
     payload_rows = [asdict(r) for r in rows]
-    payload = {
+    return {
         "schema": 1,
         "q": config["q"],
         "seed": config["seed"],
@@ -229,12 +240,6 @@ def _exec_study(config: dict):
         "rows": payload_rows,
         "sup_normalized_l1": max(r.normalized_l1 for r in rows),
     }
-    try:
-        c2, resid = search.fit_rate_constant(rows)
-        payload["rate_fit"] = {"c2": c2, "rms_residual": resid}
-    except LacsumError:
-        pass
-    return payload
 
 
 _EXECUTORS = {
@@ -287,7 +292,7 @@ def _config_from_args(args) -> dict:
         return {
             "q": args.q,
             "n_list": n_list,
-            "samples": int(args.samples),
+            "samples": args.samples,
             "seed": _resolve_seed(args.seed),
         }
     raise AssertionError(sc)

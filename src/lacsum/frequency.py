@@ -8,15 +8,16 @@ double-precision products lose all phase information.
 
 Every bulk evaluation (Monte Carlo, quadrature, the alpha/beta products)
 goes through one kernel, which takes each phase as an exact 64-bit fraction
-and e^{2 pi i phase} from a table without libm. evaluate_sum and
-evaluate_batch stay as the scalar libm references.
+and e^{2 pi i phase} from a table without libm. evaluate_sum stays as the
+scalar libm reference.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -70,22 +71,19 @@ class FrequencySet:
         return len(self.freqs)
 
 
-@dataclass(frozen=True)
-class MuNu:
-    """Normalized sine and cosine sums at one point: mu = sinsum/sqrt(n), nu = cossum/sqrt(n)."""
-
-    mu: float
-    nu: float
+def _as_int(value) -> int:
+    """value as a Python int, for Python and numpy integers only (not bool)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"frequency {value!r} is not an integer")
 
 
 def make_frequency_set(values: Iterable[int]) -> FrequencySet:
-    vals = sorted(values)
-    if not vals:
-        raise DomainError("frequency set must be nonempty")
-    for a, b in zip(vals, vals[1:]):
-        if a == b:
-            raise DomainError(f"duplicate frequency {a}")
-    return FrequencySet(tuple(int(v) for v in vals))
+    """The FrequencySet of integer values in any order; non-integers raise DomainError."""
+    return FrequencySet(tuple(sorted(_as_int(v) for v in values)))
 
 
 def lacunary_set(q: int, n: int) -> FrequencySet:
@@ -140,17 +138,6 @@ def evaluate_sum(fs: FrequencySet, theta: float) -> complex:
         re += math.cos(phase)
         im += math.sin(phase)
     return complex(re, im)
-
-
-def evaluate_mu_nu(fs: FrequencySet, theta: float) -> MuNu:
-    s = evaluate_sum(fs, theta)
-    rt = math.sqrt(fs.n)
-    return MuNu(mu=s.imag / rt, nu=s.real / rt)
-
-
-def evaluate_batch(fs: FrequencySet, thetas: Sequence[float]) -> np.ndarray:
-    """Elementwise evaluate_sum; bit-identical to mapping the scalar kernel."""
-    return np.array([evaluate_sum(fs, float(t)) for t in thetas], dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------

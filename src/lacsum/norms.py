@@ -27,7 +27,7 @@ from . import rng
 from .energy import _pair_sum_energy, count_quadruple_solutions
 from .errors import BudgetExceeded, FrequencyTooLarge
 from .frequency import FrequencySet
-from .quadrature import QuadratureConfig, integrate_abs_adaptive, panel_count
+from .quadrature import integrate_abs_adaptive
 
 MAX_MC_SAMPLES = 10**10
 
@@ -41,6 +41,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.samples > MAX_MC_SAMPLES:
+            raise BudgetExceeded(f"{self.samples} samples exceed the cap MAX_MC_SAMPLES = {MAX_MC_SAMPLES}")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
 
@@ -137,24 +139,15 @@ def _abs_prefix_sums(fs: FrequencySet, m: np.ndarray, ns: Sequence[int]) -> np.n
     return np.array(sums)
 
 
-def quadrature_fits(fs: FrequencySet, cfg: QuadratureConfig) -> bool:
-    try:
-        panel_count(fs.k_max, cfg)
-        return True
-    except FrequencyTooLarge:
-        return False
-
-
-def lp_norm_quadrature(
-    fs: FrequencySet, p: int, cfg: QuadratureConfig | None = None
-) -> NormEstimate:
+def lp_norm_quadrature(fs: FrequencySet, p: int) -> NormEstimate:
     """Deterministic L^p norm, p in {1, 2, 4}.
 
     For p in {2, 4} the norm is exact: ||S||_2^2 = n by Parseval and
     ||S||_4^4 is the additive energy K, counted exactly for any 64-bit set.
     For p = 1 the integrand |S| has kinks at zeros of S; those panels are
-    refined adaptively under the panel budget, and the accuracy is validated
-    empirically against closed forms.
+    refined adaptively, and the accuracy is validated empirically against
+    closed forms. p = 1 raises FrequencyTooLarge above
+    quadrature.MAX_HARMONIC.
     """
     if p not in (1, 2, 4):
         raise ValueError("p must be one of 1, 2, 4")
@@ -162,7 +155,7 @@ def lp_norm_quadrature(
         value = math.sqrt(fs.n) if p == 2 else count_quadruple_solutions(fs) ** 0.25
         return NormEstimate(p=p, value=value, normalized=None, std_error=None, method="exact", n=fs.n)
     lip = 2.0 * math.pi * sum(fs.freqs)  # |S'| bound
-    value = integrate_abs_adaptive(lambda th: np.abs(fq.sum_values(fs, th)), lip, fs.k_max, cfg)
+    value = integrate_abs_adaptive(lambda th: np.abs(fq.sum_values(fs, th)), lip, fs.k_max)
     return NormEstimate(
         p=1,
         value=value,
@@ -202,22 +195,18 @@ def _l1_prefixes(fs: FrequencySet, ns: Sequence[int], cfg: McConfig) -> list[Nor
     ]
 
 
-def l1_auto(
-    fs: FrequencySet,
-    tol: float,
-    seed: int = 0,
-    quad_cfg: QuadratureConfig | None = None,
-) -> NormEstimate:
-    """Quadrature when the frequency budget allows, else Monte Carlo sized to tol.
+def l1_auto(fs: FrequencySet, tol: float, seed: int = 0) -> NormEstimate:
+    """Quadrature up to quadrature.MAX_HARMONIC, else Monte Carlo sized to tol.
 
     The Monte Carlo branch targets std_error <= tol/3 on the (unnormalized)
     value, with the sample count sized from a pilot run.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    quad_cfg = quad_cfg or QuadratureConfig()
-    if quadrature_fits(fs, quad_cfg):
-        return lp_norm_quadrature(fs, 1, quad_cfg)
+    try:
+        return lp_norm_quadrature(fs, 1)
+    except FrequencyTooLarge:
+        pass
     pilot = l1_monte_carlo(fs, McConfig(samples=1 << 14, seed=seed))
     sigma = (pilot.std_error or 0.0) * math.sqrt(pilot.samples)
     needed = max(int(math.ceil((3.0 * sigma / tol) ** 2)), 1 << 14)

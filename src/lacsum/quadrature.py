@@ -1,15 +1,20 @@
 """Adaptive composite Gauss-Legendre quadrature of |S| on [0,1].
 
-The rule is 8-point Gauss-Legendre per panel, with the first-level panel
-count scaled to the highest harmonic present. |S| has kinks at the zeros of
-S, so any panel that might contain a zero is bisected. L2 and L4 norms need
+There is one rule: 8-point Gauss-Legendre on 8 first-level panels per unit
+of the highest harmonic k_max (64 nodes per period). |S| has kinks at the
+zeros of S, so any panel that might contain a zero is bisected. A coarser
+first level saves nothing: at one panel per harmonic, lipschitz * width >=
+2 pi > n >= max |S| for n <= 6, so every panel fails the kink test and is
+split anyway, and rules from 8 to 128 points per period agree to ~2e-15.
+
+The rule accepts k_max <= MAX_HARMONIC = 2^21, i.e. up to 2^27 first-level
+nodes; above it, FrequencyTooLarge sends callers to Monte Carlo. The limit
+bounds time; memory is bounded by refining in blocks. L2 and L4 norms need
 no quadrature: they are exact (see norms.lp_norm_quadrature).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,6 +24,9 @@ from .errors import FrequencyTooLarge
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 _X01 = (_GL_X + 1.0) / 2.0  # nodes on [0,1]
 _W01 = _GL_W / 2.0
+
+MAX_HARMONIC = 1 << 21
+_PANELS_PER_HARMONIC = 8
 
 # Panels narrower than this are accepted outright; their residual error is
 # O(lipschitz * _MIN_WIDTH^2) each. First-level widths are at most 1/8 and
@@ -30,32 +38,20 @@ _MIN_WIDTH = 1e-13
 _BLOCK_PANELS = 1 << 17
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    points_per_period: int = 32
-    max_total_points: int = 1 << 26
-
-    def __post_init__(self):
-        if self.points_per_period < 8:
-            raise ValueError("points_per_period must be >= 8")
-
-
-def panel_count(max_harmonic: int, cfg: QuadratureConfig) -> int:
-    """Number of panels for a given highest harmonic; raises when over budget."""
-    npanels = max(math.ceil(cfg.points_per_period * max_harmonic / 8), 8)
-    if 8 * npanels > cfg.max_total_points:
+def panel_count(max_harmonic: int) -> int:
+    """First-level panels for a given highest harmonic; raises above MAX_HARMONIC."""
+    if max_harmonic > MAX_HARMONIC:
         raise FrequencyTooLarge(
-            f"harmonic {max_harmonic} needs {8 * npanels} quadrature points "
-            f"(budget {cfg.max_total_points}); use Monte Carlo instead"
+            f"harmonic {max_harmonic} exceeds the quadrature limit {MAX_HARMONIC}; "
+            "use Monte Carlo instead"
         )
-    return npanels
+    return _PANELS_PER_HARMONIC * max_harmonic
 
 
 def integrate_abs_adaptive(
     absfn: Callable[[np.ndarray], np.ndarray],
     lipschitz: float,
     max_harmonic: int,
-    cfg: QuadratureConfig | None = None,
 ) -> float:
     """Integral of a nonnegative function with isolated kinks at its zeros.
 
@@ -64,8 +60,7 @@ def integrate_abs_adaptive(
     level goes in blocks of _BLOCK_PANELS panels, each refined to the end
     before the next is evaluated.
     """
-    cfg = cfg or QuadratureConfig()
-    npanels = panel_count(max_harmonic, cfg)
+    npanels = panel_count(max_harmonic)
     total = 0.0
     for start in range(0, npanels, _BLOCK_PANELS):
         lefts = np.arange(start, min(start + _BLOCK_PANELS, npanels), dtype=np.float64) / npanels

@@ -15,20 +15,15 @@ import math
 from dataclasses import dataclass
 from math import comb, gcd
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import DomainError, SearchSpaceTooLarge
 from .frequency import FrequencySet, lacunary_set, make_frequency_set
 from .norms import McConfig, _l1_prefixes, lp_norm_quadrature
-from .quadrature import QuadratureConfig
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0
-
-# coarse rule during the scan, fine rule for the final re-measurement
-_COARSE_CFG = QuadratureConfig(points_per_period=8)
-_FINE_CFG = QuadratureConfig(points_per_period=64)
 
 
 @dataclass(frozen=True)
@@ -62,8 +57,8 @@ def canonicalize(fs: FrequencySet) -> FrequencySet:
     return make_frequency_set([1] + [1 + d // g for d in diffs])
 
 
-def _normalized_l1(fs: FrequencySet, cfg: QuadratureConfig) -> float:
-    est = lp_norm_quadrature(fs, 1, cfg)
+def _normalized_l1(fs: FrequencySet) -> float:
+    est = lp_norm_quadrature(fs, 1)
     assert est.normalized is not None
     return est.normalized
 
@@ -84,13 +79,14 @@ def _canonical_candidates(n: int, max_freq: int):
 def exhaustive_sigma(
     n: int,
     max_freq: int,
-    cfg: QuadratureConfig | None = None,
     max_candidates: int = 200_000,
 ) -> SearchResult:
     """Enumerate every canonical n-set with entries <= max_freq and keep the maximizer.
 
-    Ties break toward the lexicographically smallest set. The quoted
-    value_error is the empirical accuracy level of the fine quadrature rule.
+    Each candidate is measured once with the L1 quadrature rule, and
+    best_value is that measurement. Ties break toward the lexicographically
+    smallest set. value_error is a fixed, conservative 1e-8; the rule's
+    measured accuracy on small sets is ~2e-15.
     """
     if n < 1 or max_freq < n:
         raise DomainError("need n >= 1 and max_freq >= n")
@@ -98,12 +94,11 @@ def exhaustive_sigma(
         raise SearchSpaceTooLarge(
             f"up to {comb(max_freq - 1, n - 1)} candidate sets (guard {max_candidates})"
         )
-    cfg = cfg or _FINE_CFG
     best_set = None
     best_value = -math.inf
     evaluations = 0
     for fs in _canonical_candidates(n, max_freq):
-        value = _normalized_l1(fs, cfg)
+        value = _normalized_l1(fs)
         evaluations += 1
         # candidates arrive in lexicographic order, so a strict improvement
         # test keeps the lexicographically smallest maximizer on ties
@@ -129,9 +124,11 @@ def anneal_sigma(
 ) -> SearchResult:
     """Simulated annealing over canonical sets; geometric cooling, seeded moves.
 
-    Candidates are scored with a coarse quadrature rule; the best few are
-    re-measured with the fine rule and the winner of that re-measurement is
-    returned.
+    Every distinct candidate is scored once with the L1 quadrature rule and
+    cached. The result is the cached set with the largest score, ties going
+    to the lexicographically smallest set; best_value is its score, and
+    evaluations counts the distinct sets scored. value_error is the fixed
+    1e-8 of exhaustive_sigma.
     """
     if budget < 1:
         raise DomainError("budget must be >= 1")
@@ -148,7 +145,7 @@ def anneal_sigma(
 
     def score(fs: FrequencySet) -> float:
         if fs.freqs not in cache:
-            cache[fs.freqs] = _normalized_l1(fs, _COARSE_CFG)
+            cache[fs.freqs] = _normalized_l1(fs)
         return cache[fs.freqs]
 
     def random_set() -> FrequencySet:
@@ -175,16 +172,10 @@ def anneal_sigma(
             current, current_value = proposal, value
         temperature *= cooling
 
-    top = sorted(cache.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-    best_set, best_value = None, -math.inf
-    for freqs, _ in top:
-        value = _normalized_l1(FrequencySet(freqs), _FINE_CFG)
-        if value > best_value:
-            best_set, best_value = FrequencySet(freqs), value
-    assert best_set is not None
+    best_freqs, best_value = min(cache.items(), key=lambda kv: (-kv[1], kv[0]))
     return SearchResult(
         n=n,
-        best_set=best_set,
+        best_set=FrequencySet(best_freqs),
         best_value=best_value,
         method="anneal",
         evaluations=len(cache),
@@ -221,19 +212,3 @@ def convergence_study(
         )
         for n in n_list
     ]
-
-
-def fit_rate_constant(rows: Sequence[StudyRow]) -> tuple[float, float]:
-    """Least-squares c2 for gap ~ c2 (log n)^{-1/16}; diagnostic only.
-
-    Returns (c2, rms residual). The underlying statement is an inequality,
-    so the fit is descriptive, never asserted.
-    """
-    usable = [r for r in rows if r.n >= 2]
-    if not usable:
-        raise DomainError("need at least one row with n >= 2")
-    x = np.array([math.log(r.n) ** -0.0625 for r in usable])
-    y = np.array([r.gap_to_limit for r in usable])
-    c2 = float((x @ y) / (x @ x))
-    resid = float(np.sqrt(np.mean((y - c2 * x) ** 2)))
-    return c2, resid

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,15 @@ def test_norms_overflow_is_computation_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_norms_mc_sample_cap_fails_fast(tmp_path, capsys):
+    start = time.perf_counter()
+    code = run(["--runs-dir", str(tmp_path / "runs"), "norms", "--lacunary", "8,4",
+                "--method", "mc", "--samples", "100000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "MAX_MC_SAMPLES" in capsys.readouterr().err
+
+
 def test_norms_p4_is_exact_beyond_the_quadrature_budget(tmp_path, capsys):
     code, out = run_in(tmp_path, "norms", "--p", "4", "--lacunary", "8,21", capsys=capsys)
     assert code == 0
@@ -179,7 +189,7 @@ def test_study_payload_and_csv(tmp_path, capsys):
         "--n-list",
         "1,2",
         "--samples",
-        "50000",
+        "5e4",
         "--seed",
         "7",
         "--csv",
@@ -189,6 +199,7 @@ def test_study_payload_and_csv(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert [r["n"] for r in payload["rows"]] == [1, 2]
+    assert payload["samples"] == 50000 and "rate_fit" not in payload
     assert abs(payload["limit"] - math.sqrt(math.pi) / 2) < 1e-15
     header = csv.read_text().splitlines()[0]
     assert header == "n,normalized_l1,std_error,gap_to_limit"
@@ -199,6 +210,14 @@ def test_study_rejects_empty_n_list(tmp_path, capsys, n_list):
     code = run(["--runs-dir", str(tmp_path / "runs"), "study", "--q", "8", "--n-list", n_list])
     assert code == 1
     assert "--n-list" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("samples", ["1.5", "1e400", "nan"])
+def test_study_rejects_non_integral_samples(tmp_path, capsys, samples):
+    code = run(["--runs-dir", str(tmp_path / "runs"), "study", "--n-list", "2", "--samples", samples])
+    assert code == 1
+    assert "--samples" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 

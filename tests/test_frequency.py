@@ -6,8 +6,6 @@ import pytest
 
 from lacsum import (
     FrequencySet,
-    evaluate_batch,
-    evaluate_mu_nu,
     evaluate_sum,
     lacunary_set,
     make_frequency_set,
@@ -26,6 +24,23 @@ def test_make_frequency_set_sorts_and_freezes():
     assert fs.k_max == 512
     with pytest.raises(Exception):
         fs.freqs = (1,)  # frozen dataclass
+    # numpy integers become Python ints
+    assert make_frequency_set(np.array([9, 2], dtype=np.uint64)).freqs == (2, 9)
+    assert all(type(k) is int for k in make_frequency_set([np.int64(3), 1]).freqs)
+
+
+@pytest.mark.parametrize("values", [
+    [1, 2.5, 3.9],
+    np.array([1.7, 5.2]),
+    [True, 2],
+    [np.bool_(True), 2],
+    [1, math.inf],
+    [math.nan, 3],
+    [1, "2"],
+])
+def test_make_frequency_set_rejects_non_integers(values):
+    with pytest.raises(DomainError, match="is not an integer"):
+        make_frequency_set(values)
 
 
 def test_make_frequency_set_rejects_bad_input():
@@ -85,6 +100,11 @@ def test_conjugate_symmetry():
         assert abs(s_plus - np.conj(s_minus)) < 1e-10
 
 
+def _scalar_sums(fs, thetas):
+    """evaluate_sum at each theta: the scalar libm reference for the bulk kernel."""
+    return np.array([evaluate_sum(fs, float(t)) for t in thetas])
+
+
 def test_pointwise_bound_random():
     rng = np.random.default_rng(5)
     for _ in range(40):
@@ -92,32 +112,8 @@ def test_pointwise_bound_random():
         freqs = np.sort(rng.choice(np.arange(1, 5000), size=n, replace=False))
         fs = make_frequency_set(freqs.tolist())
         thetas = rng.random(200)
-        vals = evaluate_batch(fs, thetas)
+        vals = _scalar_sums(fs, thetas)
         assert np.all(np.abs(vals) <= n + 1e-9)
-
-
-def test_batch_matches_scalar_bit_exactly():
-    fs = lacunary_set(8, 7)
-    thetas = np.random.default_rng(3).random(64)
-    batch = evaluate_batch(fs, thetas)
-    for th, v in zip(thetas, batch):
-        assert v == evaluate_sum(fs, float(th))
-
-
-def test_evaluate_batch_empty():
-    out = evaluate_batch(make_frequency_set([1]), np.array([]))
-    assert out.shape == (0,)
-
-
-def test_mu_nu_definition():
-    fs = make_frequency_set([1, 2, 5])
-    th = 0.31
-    mn = evaluate_mu_nu(fs, th)
-    k = np.array(fs.freqs, dtype=float)
-    mu = np.sum(np.sin(2 * np.pi * k * th)) / math.sqrt(fs.n)
-    nu = np.sum(np.cos(2 * np.pi * k * th)) / math.sqrt(fs.n)
-    assert abs(mn.mu - mu) < 1e-12
-    assert abs(mn.nu - nu) < 1e-12
 
 
 def test_dyadic_bulk_path_matches_exact_oracle():
@@ -210,7 +206,7 @@ def test_sum_values_matches_scalar_reference():
         fs = make_frequency_set(sorted({int(x) for x in rg.integers(1, 2**63, size=8)}))
         th = np.concatenate([rg.random(200), -5 * rg.random(20), 1 + 7 * rg.random(20)])
         th = th[np.mod(th, 1.0) >= 2**-11]
-        assert np.abs(fq.sum_values(fs, th) - evaluate_batch(fs, th)).max() <= fs.n * 1e-15
+        assert np.abs(fq.sum_values(fs, th) - _scalar_sums(fs, th)).max() <= fs.n * 1e-15
     fs = lacunary_set(8, 5)
     assert fq.sum_values(fs, np.zeros((2, 3))).shape == (2, 3)
     assert fq.sum_values(fs, 0.0) == 5.0  # a float theta gives a 0-d array

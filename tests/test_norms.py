@@ -7,7 +7,6 @@ import pytest
 
 from lacsum import (
     McConfig,
-    QuadratureConfig,
     clt_report,
     convergence_study,
     default_phi_grid,
@@ -25,8 +24,8 @@ from lacsum import (
 from lacsum import rng
 from lacsum.energy import count_quadruple_solutions
 from lacsum.errors import BudgetExceeded, FrequencyTooLarge
-from lacsum.norms import num_workers
-from lacsum.quadrature import panel_count
+from lacsum.norms import MAX_MC_SAMPLES, num_workers
+from lacsum.quadrature import MAX_HARMONIC, panel_count
 from oracles import midpoint_l1, periodic_mean
 
 
@@ -119,8 +118,12 @@ def test_quadrature_budget_enforced():
 
 
 def test_panel_count_scales_with_harmonic():
-    cfg = QuadratureConfig()
-    assert panel_count(100, cfg) >= panel_count(10, cfg)
+    assert panel_count(100) >= panel_count(10)
+    # one rule, 8 panels per harmonic; the limit is a harmonic, 2^21
+    assert MAX_HARMONIC == 2**21
+    assert panel_count(2**21) == 8 * 2**21
+    with pytest.raises(FrequencyTooLarge):
+        panel_count(2**21 + 1)
 
 
 def test_mc_singleton_exact():
@@ -213,6 +216,8 @@ def test_l1_auto_dispatch():
     mc = l1_auto(lacunary_set(8, 16), tol=5e-3)
     assert mc.method == "monte-carlo"
     assert mc.std_error <= 5e-3
+    # one place knows the quadrature limit: just above it, l1_auto samples
+    assert l1_auto(make_frequency_set([1, 2**21 + 1]), tol=0.05).method == "monte-carlo"
 
 
 def test_l1_auto_meets_its_error_target():
@@ -224,6 +229,13 @@ def test_l1_auto_meets_its_error_target():
 def test_l1_auto_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         l1_auto(lacunary_set(8, 16), tol=1e-7)
+
+
+def test_mc_config_caps_samples():
+    # fails before chunk_layout builds one tuple per chunk
+    with pytest.raises(BudgetExceeded, match="MAX_MC_SAMPLES = 10000000000"):
+        McConfig(samples=MAX_MC_SAMPLES + 1)
+    assert McConfig(samples=MAX_MC_SAMPLES).samples == MAX_MC_SAMPLES
 
 
 def test_fourth_moment_singleton():
