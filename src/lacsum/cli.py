@@ -85,7 +85,7 @@ def build_parser() -> _Parser:
     _add_freq_flags(p)
     p.add_argument("--p", type=int, default=1, choices=(1, 2, 4))
     p.add_argument("--method", default="auto", choices=("auto", "quad", "mc"))
-    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--samples", type=_whole_number, default=10**6)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-3)
 
@@ -97,7 +97,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("clt", help="empirical CLT report")
     _add_freq_flags(p)
-    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--samples", type=_whole_number, default=10**6)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--chain-audit", action="store_true")
     p.add_argument("--report", help="also write the report JSON to this path")

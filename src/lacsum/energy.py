@@ -4,6 +4,28 @@ The energy K counts ordered quadruples (a,b,c,d) with k_a + k_b = k_c + k_d
 (repeats allowed). By Parseval K equals the integral of |S|^4, which gives
 the rigorous bound ||S||_1 >= n^{3/2} / sqrt(K) via
 ||S||_2^2 <= ||S||_1^{2/3} ||S||_4^{4/3}.
+
+One counter serves every caller (count_quadruple_solutions, is_sidon,
+holder_lower_bound, and norms.fourth_moment_cos on F u -F). It shifts the
+values by their minimum and takes the first path that fits:
+
+1. Histogram, while the span is dense: 2 span + 1 bins, at most 4 n^2 and
+   at most _CHUNK_SUMS. np.bincount adds the outer sums, _CHUNK_SUMS at a
+   time, into one int64 histogram h, and K = h . h.
+2. Sort, while every sum stays below 2^63 (span < 2^62): the sum range is
+   cut into bands of at most _CHUNK_SUMS sums; each band is gathered from
+   the sorted values by searchsorted, sorted, and its run lengths squared.
+3. Python ints, when the span reaches 2^62 and a sum could reach 2^63.
+
+Memory stays within a few buffers of _CHUNK_SUMS = 2^20 int64 (8 MB each).
+The count is capped by its work, n^2 pair sums, and raises CapacityExceeded
+before it starts: MAX_PAIR_SUMS for the numpy paths (n <= 16384; there the
+slowest, the sort path, takes ~7 s on a 2-vCPU Xeon) and MAX_WIDE_PAIR_SUMS
+for Python ints (n <= 1024, ~0.6 s).
+
+mian_chowla builds the greedy Sidon sequence from a bitmap of forbidden
+candidates. It is capped by its work, ~n^3/6 marks: MAX_SIDON_MARKS
+(n <= 1338, ~7 s and ~160 MB on the same machine).
 """
 
 from __future__ import annotations
@@ -18,12 +40,14 @@ import numpy as np
 from .errors import CapacityExceeded, DomainError
 from .frequency import FrequencySet, make_frequency_set
 
-MAX_COUNT_N = 10**6
-MAX_SIDON_N = 10**4
+MAX_PAIR_SUMS = 1 << 28
+MAX_WIDE_PAIR_SUMS = 1 << 20
+MAX_SIDON_MARKS = 4 * 10**8
 
-# np.add.outer of two int64 values is exact while each |value| < 2^62; larger
-# entries fall back to Python integers.
-_NUMPY_SUM_LIMIT = 2**62
+# Sums per chunk of the counter, and bins of its largest histogram (8 MB of int64).
+_CHUNK_SUMS = 1 << 20
+# Two shifted values below 2^62 sum to less than 2^63, i.e. fit in int64.
+_INT64_SPAN = 1 << 62
 
 
 def count_quadruple_solutions(fs: FrequencySet) -> int:
@@ -34,18 +58,72 @@ def count_quadruple_solutions(fs: FrequencySet) -> int:
 def _pair_sum_energy(values: Sequence[int]) -> int:
     """Ordered count of a + b = c + d over distinct Python ints of either sign."""
     n = len(values)
-    if n > MAX_COUNT_N:
-        raise CapacityExceeded(f"n = {n} exceeds the pairwise-sum capacity")
-    if max(map(abs, values)) >= _NUMPY_SUM_LIMIT or n > 4096:
-        counts = Counter()
-        for a in values:
-            for b in values:
-                counts[a + b] += 1
+    lo = min(values)
+    span = max(values) - lo
+    wide = span >= _INT64_SPAN
+    limit = MAX_WIDE_PAIR_SUMS if wide else MAX_PAIR_SUMS
+    if n * n > limit:
+        raise CapacityExceeded(
+            f"n = {n} values make {n * n} pair sums; the counter's limit is {limit}"
+            + (" for a span of 2^62 or more" if wide else "")
+        )
+    if wide:
+        counts = Counter(a + b for a in values for b in values)
         return sum(c * c for c in counts.values())
-    arr = np.array(values, dtype=np.int64)
-    sums = np.add.outer(arr, arr).ravel()
-    _, mult = np.unique(sums, return_counts=True)
-    return int(sum(int(c) * int(c) for c in mult))
+    u = np.sort(np.array([v - lo for v in values], dtype=np.int64))
+    bins = 2 * span + 1
+    if bins <= min(4 * n * n, _CHUNK_SUMS):
+        return _histogram_energy(u, bins)
+    return _sorted_energy(u)
+
+
+def _histogram_energy(u: np.ndarray, bins: int) -> int:
+    """Energy of sorted non-negative u from one histogram of its pair sums."""
+    rows = max(1, _CHUNK_SUMS // u.size)
+    hist = np.zeros(bins, dtype=np.int64)
+    for i in range(0, u.size, rows):
+        hist += np.bincount(np.add.outer(u[i : i + rows], u).ravel(), minlength=bins)
+    return int(hist @ hist)  # each count is <= n, so h . h <= n^3 fits int64
+
+
+def _sorted_energy(u: np.ndarray) -> int:
+    """Energy of sorted non-negative u (2 max(u) < 2^63), one band of sums at a time.
+
+    A band [lo, hi) of sum values takes, from each row a, the columns b with
+    lo <= u_a + u_b < hi: one contiguous run of the sorted u. Every sum lands
+    in exactly one band, so squaring the run lengths of each band's sorted
+    sums and adding them gives the energy. A band over _CHUNK_SUMS is retried
+    narrower; one value has at most n <= _CHUNK_SUMS sums, so this ends.
+    """
+    n = u.size
+    top = 2 * int(u[-1])
+    start = np.zeros(n, dtype=np.int64)  # per row, the first column not yet counted
+    lo, width, energy = 0, max(1, (top + 1) * _CHUNK_SUMS // (2 * n * n)), 0
+    while lo <= top:
+        hi = min(lo + width, top + 1)
+        stop = np.searchsorted(u, hi - u)
+        count = stop - start
+        m = int(count.sum())
+        # aim the next band at half a chunk from this band's density
+        width = max(1, (hi - lo) * _CHUNK_SUMS // (2 * max(m, 1)))
+        if m > _CHUNK_SUMS:
+            continue
+        energy += _band_energy(u, start, count, m)
+        start, lo = stop, hi
+    return energy
+
+
+def _band_energy(u: np.ndarray, start: np.ndarray, count: np.ndarray, m: int) -> int:
+    """Sum of squared multiplicities of the m sums u_a + u_b, start_a <= b < start_a + count_a."""
+    first = np.cumsum(count) - count  # where each row's columns start among the m sums
+    cols = np.repeat(start - first, count)
+    cols += np.arange(m)
+    sums = u[cols]
+    del cols
+    sums += np.repeat(u, count)
+    sums.sort()
+    runs = np.diff(np.flatnonzero(sums[1:] != sums[:-1]), prepend=-1, append=m - 1)
+    return int(runs @ runs)
 
 
 def is_sidon(fs: FrequencySet) -> bool:
@@ -55,21 +133,40 @@ def is_sidon(fs: FrequencySet) -> bool:
 
 
 def mian_chowla(n: int) -> FrequencySet:
-    """First n terms of the greedy Sidon sequence 1, 2, 4, 8, 13, 21, ..."""
+    """First n terms of the greedy Sidon sequence 1, 2, 4, 8, 13, 21, ...
+
+    A candidate x past the last term c is forbidden iff x = b + d for a term b
+    and a positive difference d of two terms. When c joins, the new forbidden
+    candidates past c are exactly c + d over every difference d of the new
+    set (b + (c - a) = c + (b - a)), so those are marked in a bitmap and the
+    next term is its first unmarked entry past c. Every mark is below 2c, so
+    the next term is at most 2c. The work is ~n^3/6 marks, capped at
+    MAX_SIDON_MARKS (n <= 1338).
+    """
     if n < 1:
         raise DomainError("n must be >= 1")
-    if n > MAX_SIDON_N:
-        raise CapacityExceeded(f"n = {n} exceeds the greedy-construction cap")
-    seq: list[int] = []
-    sums: set[int] = set()
-    candidate = 1
-    while len(seq) < n:
-        new_sums = [candidate + a for a in seq] + [2 * candidate]
-        if all(s not in sums for s in new_sums):
-            seq.append(candidate)
-            sums.update(new_sums)
-        candidate += 1
-    return make_frequency_set(seq)
+    marks = n * (n - 1) * (n + 1) // 6  # sum over k < n of k (k + 1) / 2
+    if marks > MAX_SIDON_MARKS:
+        raise CapacityExceeded(
+            f"n = {n} needs ~{marks} bitmap marks; the greedy construction's limit is {MAX_SIDON_MARKS}"
+        )
+    seq = np.zeros(n, dtype=np.int64)
+    diffs = np.zeros(n * (n - 1) // 2, dtype=np.int64)
+    forbidden = np.zeros(1024, dtype=bool)
+    c, used = 1, 0
+    for k in range(n):
+        seq[k] = c
+        diffs[used : used + k] = c - seq[:k]
+        used += k
+        if 2 * c >= forbidden.size:
+            forbidden = np.concatenate([forbidden, np.zeros(2 * c, dtype=bool)])
+        forbidden[c + diffs[:used]] = True
+        # 2c is never marked, so a window doubling from c + 1 finds the next term
+        width = 64
+        while forbidden[c + 1 : c + 1 + width].all():
+            width *= 2
+        c += 1 + int(np.argmin(forbidden[c + 1 : c + 1 + width]))
+    return make_frequency_set(seq.tolist())
 
 
 @dataclass(frozen=True)

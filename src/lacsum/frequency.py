@@ -204,14 +204,15 @@ def _add_unit_roots(fs: FrequencySet, m: np.ndarray, factor: int, re: np.ndarray
     for lo in range(0, m.size, _BLOCK):
         hi = min(lo + _BLOCK, m.size)
         w, top = work[0, : hi - lo].view(np.uint64), work[1, : hi - lo].view(np.int64)
+        top_u = top.view(np.uint64)  # < 2^B: the same bits read as int64 for np.take
         x, x2, sin_r, cos_r1, ca, sa = work[2:, : hi - lo]
         t1, t2 = x, x2  # free again once the polynomials are taken
         for mult in mults:
             np.multiply(m[lo:hi], mult, out=w)
-            np.right_shift(w, _LOW_BITS, out=top, casting="unsafe")  # < 2^B: fits int64
+            np.right_shift(w, _LOW_BITS, out=top_u)
             np.bitwise_and(w, _LOW_MASK, out=w)
             x[...] = w  # < 2^51: exact
-            np.multiply(x, x, out=x2)
+            np.square(x, out=x2)
             np.multiply(x2, _S3, out=sin_r)
             sin_r += _S1
             sin_r *= x

@@ -221,6 +221,16 @@ def test_study_rejects_non_integral_samples(tmp_path, capsys, samples):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command", [["norms", "--method", "mc"], ["clt"]])
+def test_monte_carlo_commands_take_samples_as_whole_numbers(tmp_path, capsys, command):
+    args = [*command, "--lacunary", "8,4", "--seed", "1", "--samples"]
+    code, out = run_in(tmp_path, *args, "1e5", capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["samples"] == 100_000
+    assert run(["--no-record", *args, "1.5"]) == 1
+    assert "--samples" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("lacunary", ["8", "8,2,3", "a,b"])
 def test_malformed_lacunary_names_the_flag(tmp_path, capsys, lacunary):
     code = run(["--runs-dir", str(tmp_path / "runs"), "norms", "--lacunary", lacunary])

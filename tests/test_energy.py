@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from lacsum import (
     make_frequency_set,
     mian_chowla,
 )
+from lacsum.energy import MAX_PAIR_SUMS, MAX_SIDON_MARKS, MAX_WIDE_PAIR_SUMS
 from lacsum.errors import CapacityExceeded
+from lacsum.norms import fourth_moment_cos
 
 
 def brute_energy(freqs):
@@ -102,15 +105,81 @@ def test_holder_bound_is_sound():
 
 
 def test_counter_fallback_for_huge_frequencies():
-    # k_max near 2^63 forces the pure-Python summation path; answer must agree
+    # a narrow set near 2^62 is shifted into int64; a span of 2^62 or more
+    # forces the pure-Python summation path; both must agree
     base = 2**62
-    freqs = (base + 1, base + 2, base + 5, base + 11)
-    fs = make_frequency_set(freqs)
-    assert count_quadruple_solutions(fs) == brute_energy(freqs)
+    for freqs in ((base + 1, base + 2, base + 5, base + 11), (1, 5, base + 1, 2**64 - 1)):
+        fs = make_frequency_set(freqs)
+        assert count_quadruple_solutions(fs) == brute_energy(freqs)
+
+
+def unique_energy(freqs):
+    """Reference: squared multiplicities of np.unique over all n^2 int64 sums."""
+    arr = np.asarray(freqs, dtype=np.int64)
+    _, mult = np.unique(np.add.outer(arr, arr), return_counts=True)
+    return int(mult @ mult)
+
+
+def test_energy_of_an_interval_is_closed_form_and_fast():
+    n = 5000
+    start = time.perf_counter()
+    energy = count_quadruple_solutions(make_frequency_set(range(1, n + 1)))
+    assert time.perf_counter() - start < 1.0
+    assert energy == (2 * n**3 + n) // 3
+
+
+def test_energy_of_a_sparse_set_matches_unique_reference():
+    # 1500^2 sums over [1, 2^41]: the sort path, in several bands
+    rng = np.random.default_rng(47)
+    freqs = np.unique(rng.integers(1, 2**40, size=1500))
+    assert freqs.size == 1500
+    fs = make_frequency_set(freqs.tolist())
+    assert count_quadruple_solutions(fs) == unique_energy(fs.freqs)
+
+
+def test_fourth_moment_counts_f_and_minus_f():
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        n = int(rng.integers(1, 7))
+        freqs = rng.choice(np.arange(1, 200), size=n, replace=False).tolist()
+        both = freqs + [-k for k in freqs]
+        assert fourth_moment_cos(make_frequency_set(freqs)) == brute_energy(both) / 16
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_energy_on_both_sides_of_the_histogram_span(extra):
+    # the histogram path takes 2 span + 1 <= 4 n^2 bins; the sort path the rest
+    n = 40
+    span = (4 * n * n - 1) // 2 + extra
+    rng = np.random.default_rng(59 + extra)
+    inner = rng.choice(np.arange(2, span + 1), size=n - 2, replace=False).tolist()
+    freqs = [1, *inner, span + 1]
+    assert count_quadruple_solutions(make_frequency_set(freqs)) == unique_energy(sorted(freqs))
+
+
+def test_mian_chowla_known_terms():
+    # checked against the candidate-by-candidate greedy construction
+    assert mian_chowla(120).freqs[-1] == 44879
+    assert mian_chowla(200).freqs[-1] == 172922
 
 
 def test_mian_chowla_capacity_guard():
-    from lacsum.energy import MAX_SIDON_N
+    n = 1
+    while (n + 1) * n * (n + 2) // 6 <= MAX_SIDON_MARKS:
+        n += 1  # n is the largest accepted length
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceeded, match=str(MAX_SIDON_MARKS)):
+        mian_chowla(n + 1)
+    assert time.perf_counter() - start < 1.0
 
-    with pytest.raises(CapacityExceeded):
-        mian_chowla(MAX_SIDON_N + 1)
+
+@pytest.mark.parametrize("base, limit", [(0, MAX_PAIR_SUMS), (2**63, MAX_WIDE_PAIR_SUMS)])
+def test_energy_capacity_guard(base, limit):
+    n = math.isqrt(limit) + 1
+    fs = make_frequency_set(range(base + 1, base + n + 1))
+    if base:
+        fs = make_frequency_set((1, *fs.freqs))  # a span beyond 2^62
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceeded, match=str(limit)):
+        count_quadruple_solutions(fs)
+    assert time.perf_counter() - start < 1.0

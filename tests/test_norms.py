@@ -24,6 +24,7 @@ from lacsum import (
 from lacsum import rng
 from lacsum.energy import count_quadruple_solutions
 from lacsum.errors import BudgetExceeded, FrequencyTooLarge
+from lacsum.frequency import sum_values
 from lacsum.norms import MAX_MC_SAMPLES, num_workers
 from lacsum.quadrature import MAX_HARMONIC, panel_count
 from oracles import midpoint_l1, periodic_mean
@@ -160,6 +161,21 @@ def test_mc_deterministic_across_worker_counts():
         else:
             os.environ["LACSUM_THREADS"] = old
     assert results[0] == results[1] == results[2]
+
+
+def test_payload_bits_are_pinned():
+    # recorded before the kernel's bit-identical trims; a platform or change
+    # that moves the dyadic kernel or the Monte Carlo reduction shows here
+    est = l1_monte_carlo(lacunary_set(8, 16), McConfig(70_001, seed=3, chunk_size=8192))
+    assert (est.value.hex(), est.std_error.hex()) == ("0x1.c6c5d5c52f2f6p+1", "0x1.c32ffeedbd493p-8")
+    values = sum_values(make_frequency_set([1, 3, 2**16]), [-0.4142, 0.001, 0.1, 0.3333, 12.875])
+    assert [(float(v.real).hex(), float(v.imag).hex()) for v in values] == [
+        ("0x1.7c95209fc6ba8p-3", "-0x1.9524e848094e5p+0"),
+        ("0x1.0678788e9dd4bp+0", "-0x1.97d647edc3032p-3"),
+        ("-0x1.3c6ef372f8ac6p-2", "0x1.e6f0e134413eep-1"),
+        ("0x1.1813a1324397ep+0", "0x1.ab8950f832797p+0"),
+        ("0x1.fffffffffffffp-1", "-0x1.6a09e667f3bccp+0"),
+    ]
 
 
 def test_every_mc_statistic_draws_each_chunk_once(monkeypatch):
