@@ -1,19 +1,21 @@
 """The lacsum command line: eval, norms, energy, sidon, clt, search, study, replay.
 
 Every subcommand emits JSON to stdout (sidon emits the frequency-set file
-format, study can emit CSV) and persists a replayable RunRecord under
-runs/ unless --no-record is given. Exit codes: 0 success, 1 usage error,
-2 computation error, 3 replay mismatch.
+format, clt and study can write CSV) and persists a replayable RunRecord
+under runs/ unless --no-record is given. The record's config is the parsed
+flags with the frequencies resolved and the seed drawn; output paths are
+not part of it. Exit codes: 0 success, 1 usage error (including an
+unreadable or unwritable file flag), 2 computation error, 3 replay mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import secrets
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 
 from . import cltlab, energy, norms, records, search
@@ -48,7 +50,10 @@ def _resolve_freqs(args) -> list[int]:
     if args.freqs:
         return [int(v) for v in args.freqs.split(",") if v.strip()]
     if args.freqs_file:
-        return list(parse_freqs_file(args.freqs_file).freqs)
+        try:
+            return list(parse_freqs_file(args.freqs_file).freqs)
+        except OSError as exc:
+            raise ValueError(f"--freqs-file: {exc}") from None
     try:
         q, n = (int(v) for v in args.lacunary.split(","))
     except ValueError:
@@ -65,6 +70,17 @@ def _whole_number(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
+
+
+def _n_list(text: str) -> list[int]:
+    """At least one comma-separated integer."""
+    try:
+        n_list = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        n_list = []
+    if not n_list:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, e.g. 4,8,16; got {text!r}")
+    return n_list
 
 
 def _resolve_seed(value) -> int:
@@ -112,7 +128,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("study", help="q-lacunary convergence study")
     p.add_argument("--q", type=int, default=8)
-    p.add_argument("--n-list", required=True, help="comma-separated, e.g. 4,8,16")
+    p.add_argument("--n-list", type=_n_list, required=True, help="comma-separated, e.g. 4,8,16")
     p.add_argument("--samples", type=_whole_number, default=10**6)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--csv", help="write rows as CSV to this path")
@@ -135,25 +151,18 @@ def _exec_eval(config: dict):
     return {"schema": 1, "re": s.real, "im": s.imag, "abs": abs(s), "n": fs.n}
 
 
-def _estimate_payload(est: norms.NormEstimate) -> dict:
-    return {"schema": 1, **asdict(est)}
-
-
 def _exec_norms(config: dict):
     fs = make_frequency_set(config["freqs"])
     method = config["method"]
-    if method == "quad":
-        est = norms.lp_norm_quadrature(fs, config["p"])
-    elif method == "mc":
+    if method == "mc":
         if config["p"] != 1:
             raise LacsumError("monte-carlo estimation is implemented for p = 1")
         est = norms.l1_monte_carlo(fs, McConfig(samples=config["samples"], seed=config["seed"]))
+    elif method == "auto" and config["p"] == 1:
+        est = norms.l1_auto(fs, config["tol"], seed=config["seed"])
     else:
-        if config["p"] == 1:
-            est = norms.l1_auto(fs, config["tol"], seed=config["seed"])
-        else:
-            est = norms.lp_norm_quadrature(fs, config["p"])
-    return _estimate_payload(est)
+        est = norms.lp_norm_quadrature(fs, config["p"])
+    return {"schema": 1, **asdict(est)}
 
 
 def _exec_energy(config: dict):
@@ -185,23 +194,10 @@ def _exec_clt(config: dict):
         McConfig(samples=config["samples"], seed=config["seed"]),
         with_chain_audit=config.get("chain_audit", False),
     )
-    payload = {
-        "schema": 1,
-        "n": report.n,
-        "samples": report.samples,
-        "seed": report.seed,
-        "radial_mean": report.radial_mean,
-        "radial_std_error": report.radial_std_error,
-        "ks_mu": report.ks_mu,
-        "ks_nu": report.ks_nu,
-        "cov_hat": report.cov_hat,
-        "phi_grid": [_phi_point_dict(pt) for pt in report.phi_grid],
-    }
-    if report.chain_audit is not None:
-        payload["chain_audit"] = {
-            **asdict(report.chain_audit),
-            "inequalities": report.chain_audit.inequalities(),
-        }
+    payload = {"schema": 1, **asdict(report), "phi_grid": [_phi_point_dict(pt) for pt in report.phi_grid]}
+    audit = payload.pop("chain_audit")
+    if audit is not None:
+        payload["chain_audit"] = {**audit, "inequalities": report.chain_audit.inequalities()}
     return payload
 
 
@@ -212,16 +208,7 @@ def _exec_search(config: dict):
         result = search.anneal_sigma(
             config["n"], config["max_freq"], config["budget"], config["seed"]
         )
-    return {
-        "schema": 1,
-        "n": result.n,
-        "best_set": list(result.best_set.freqs),
-        "best_value": result.best_value,
-        "method": result.method,
-        "evaluations": result.evaluations,
-        "value_error": result.value_error,
-        "seed": result.seed,
-    }
+    return {"schema": 1, **asdict(result), "best_set": list(result.best_set.freqs)}
 
 
 def _exec_study(config: dict):
@@ -253,69 +240,35 @@ _EXECUTORS = {
 }
 
 
+# Flags that say where output goes or where the frequencies come from; the
+# resolved frequencies are recorded instead.
+_NOT_CONFIG = {"no_record", "runs_dir", "subcommand", "freqs_file", "lacunary", "report", "csv"}
+
+
 def _config_from_args(args) -> dict:
-    sc = args.subcommand
-    if sc == "eval":
-        return {"freqs": _resolve_freqs(args), "theta": args.theta}
-    if sc == "norms":
-        return {
-            "freqs": _resolve_freqs(args),
-            "p": args.p,
-            "method": args.method,
-            "samples": args.samples,
-            "seed": _resolve_seed(args.seed),
-            "tol": args.tol,
-        }
-    if sc == "energy":
-        return {"freqs": _resolve_freqs(args)}
-    if sc == "sidon":
-        return {"n": args.n}
-    if sc == "clt":
-        return {
-            "freqs": _resolve_freqs(args),
-            "samples": args.samples,
-            "seed": _resolve_seed(args.seed),
-            "chain_audit": args.chain_audit,
-        }
-    if sc == "search":
-        return {
-            "n": args.n,
-            "max_freq": args.max_freq,
-            "mode": args.mode,
-            "budget": args.budget,
-            "seed": _resolve_seed(args.seed),
-        }
-    if sc == "study":
-        n_list = [int(v) for v in args.n_list.split(",") if v.strip()]
-        if not n_list:
-            raise ValueError("--n-list needs at least one n, e.g. 4,8,16")
-        return {
-            "q": args.q,
-            "n_list": n_list,
-            "samples": args.samples,
-            "seed": _resolve_seed(args.seed),
-        }
-    raise AssertionError(sc)
+    """The subcommand's flags, in declaration order, with freqs resolved and seed drawn."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    if "freqs" in config:
+        config["freqs"] = _resolve_freqs(args)
+    if "seed" in config:
+        config["seed"] = _resolve_seed(args.seed)
+    return config
 
 
-def _study_csv(payload: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "normalized_l1", "std_error", "gap_to_limit"])
-    for row in payload["rows"]:
-        writer.writerow(
-            [row["n"], repr(row["normalized_l1"]), repr(row["std_error"]), repr(row["gap_to_limit"])]
-        )
-    return buf.getvalue()
+@contextmanager
+def _output(flag: str, path: str):
+    try:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
-def _phi_csv(payload: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["s", "t", "phi_re", "phi_im", "std_error", "gaussian"])
-    for pt in payload["phi_grid"]:
-        writer.writerow([repr(pt[c]) for c in ("s", "t", "phi_re", "phi_im", "std_error", "gaussian")])
-    return buf.getvalue()
+def _write_csv(path: str, columns: list, rows: list[dict]) -> None:
+    with _output("--csv", path) as fh:
+        writer = csv.DictWriter(fh, columns)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _emit(args, payload) -> None:
@@ -323,16 +276,12 @@ def _emit(args, payload) -> None:
         for k in payload["freqs"]:
             print(k)
         return
-    if args.subcommand == "study" and args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(_study_csv(payload))
-    if args.subcommand == "clt":
-        if args.report:
-            with open(args.report, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write(_phi_csv(payload))
+    if getattr(args, "report", None):
+        with _output("--report", args.report) as fh:
+            json.dump(payload, fh, indent=2)
+    if getattr(args, "csv", None):
+        rows = payload["rows" if args.subcommand == "study" else "phi_grid"]
+        _write_csv(args.csv, list(rows[0]), rows)
     print(json.dumps(payload))
 
 
@@ -373,6 +322,7 @@ def run(argv=None) -> int:
         started = records.utc_stamp()
         payload = _EXECUTORS[args.subcommand](config)
         finished = records.utc_stamp()
+        _emit(args, payload)
     except LacsumError as exc:
         print(f"lacsum: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -380,7 +330,6 @@ def run(argv=None) -> int:
         print(f"lacsum: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    _emit(args, payload)
     if not args.no_record:
         record = records.RunRecord(
             schema=records.SCHEMA_VERSION,

@@ -25,9 +25,9 @@ import numpy as np
 from . import frequency as fq
 from . import rng
 from .energy import _pair_sum_energy, count_quadruple_solutions
-from .errors import BudgetExceeded, FrequencyTooLarge
+from .errors import BudgetExceeded
 from .frequency import FrequencySet
-from .quadrature import integrate_abs_adaptive
+from .quadrature import MAX_HARMONIC, integrate_abs_adaptive
 
 MAX_MC_SAMPLES = 10**10
 
@@ -201,12 +201,10 @@ def l1_auto(fs: FrequencySet, tol: float, seed: int = 0) -> NormEstimate:
     The Monte Carlo branch targets std_error <= tol/3 on the (unnormalized)
     value, with the sample count sized from a pilot run.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    try:
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if fs.k_max <= MAX_HARMONIC:
         return lp_norm_quadrature(fs, 1)
-    except FrequencyTooLarge:
-        pass
     pilot = l1_monte_carlo(fs, McConfig(samples=1 << 14, seed=seed))
     sigma = (pilot.std_error or 0.0) * math.sqrt(pilot.samples)
     needed = max(int(math.ceil((3.0 * sigma / tol) ** 2)), 1 << 14)

@@ -25,6 +25,11 @@ from .norms import McConfig, _l1_prefixes, lp_norm_quadrature
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0
 
+# exhaustive_sigma refuses a search space with more canonical candidates than this
+MAX_EXHAUSTIVE_CANDIDATES = 200_000
+# anneal_sigma draws frequencies up to max_freq, which may not exceed this
+MAX_ANNEAL_FREQ = 10**6
+
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -51,9 +56,7 @@ def canonicalize(fs: FrequencySet) -> FrequencySet:
         return make_frequency_set([1])
     base = fs.freqs[0]
     diffs = [k - base for k in fs.freqs[1:]]
-    g = 0
-    for d in diffs:
-        g = gcd(g, d)
+    g = gcd(*diffs)
     return make_frequency_set([1] + [1 + d // g for d in diffs])
 
 
@@ -68,19 +71,11 @@ def _canonical_candidates(n: int, max_freq: int):
         yield make_frequency_set([1])
         return
     for rest in combinations(range(2, max_freq + 1), n - 1):
-        diffs = [k - 1 for k in rest]
-        g = 0
-        for d in diffs:
-            g = gcd(g, d)
-        if g == 1:
+        if gcd(*(k - 1 for k in rest)) == 1:
             yield make_frequency_set((1,) + rest)
 
 
-def exhaustive_sigma(
-    n: int,
-    max_freq: int,
-    max_candidates: int = 200_000,
-) -> SearchResult:
+def exhaustive_sigma(n: int, max_freq: int) -> SearchResult:
     """Enumerate every canonical n-set with entries <= max_freq and keep the maximizer.
 
     Each candidate is measured once with the L1 quadrature rule, and
@@ -90,9 +85,9 @@ def exhaustive_sigma(
     """
     if n < 1 or max_freq < n:
         raise DomainError("need n >= 1 and max_freq >= n")
-    if comb(max_freq - 1, n - 1) > max_candidates:
+    if comb(max_freq - 1, n - 1) > MAX_EXHAUSTIVE_CANDIDATES:
         raise SearchSpaceTooLarge(
-            f"up to {comb(max_freq - 1, n - 1)} candidate sets (guard {max_candidates})"
+            f"up to {comb(max_freq - 1, n - 1)} candidate sets (guard {MAX_EXHAUSTIVE_CANDIDATES})"
         )
     best_set = None
     best_value = -math.inf
@@ -115,13 +110,7 @@ def exhaustive_sigma(
     )
 
 
-def anneal_sigma(
-    n: int,
-    max_freq: int,
-    budget: int,
-    seed: int,
-    max_freq_cap: int = 10**6,
-) -> SearchResult:
+def anneal_sigma(n: int, max_freq: int, budget: int, seed: int) -> SearchResult:
     """Simulated annealing over canonical sets; geometric cooling, seeded moves.
 
     Every distinct candidate is scored once with the L1 quadrature rule and
@@ -132,8 +121,8 @@ def anneal_sigma(
     """
     if budget < 1:
         raise DomainError("budget must be >= 1")
-    if n < 1 or max_freq < n or max_freq > max_freq_cap:
-        raise DomainError("need 1 <= n <= max_freq <= cap")
+    if n < 1 or max_freq < n or max_freq > MAX_ANNEAL_FREQ:
+        raise DomainError(f"need 1 <= n <= max_freq <= {MAX_ANNEAL_FREQ}")
     if n == 1:
         return SearchResult(
             n=1, best_set=make_frequency_set([1]), best_value=1.0,

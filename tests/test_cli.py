@@ -240,6 +240,25 @@ def test_malformed_lacunary_names_the_flag(tmp_path, capsys, lacunary):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, args",
+    [
+        ("--freqs-file", ["norms", "--freqs-file", "{missing}"]),
+        ("--csv", ["study", "--n-list", "2", "--samples", "1000", "--seed", "1", "--csv", "{missing}"]),
+        ("--csv", ["clt", "--lacunary", "8,2", "--samples", "1000", "--seed", "1", "--csv", "{missing}"]),
+        ("--report", ["clt", "--lacunary", "8,2", "--samples", "1000", "--seed", "1", "--report", "{missing}"]),
+    ],
+)
+def test_file_flag_errors_are_one_line(tmp_path, capsys, flag, args):
+    missing = str(tmp_path / "no-such-dir" / "file")
+    code = run(["--runs-dir", str(tmp_path / "runs"), *(a.format(missing=missing) for a in args)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"lacsum: error: {flag}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_replay_matches(tmp_path, capsys):
     code, _ = run_in(
         tmp_path,
@@ -321,3 +340,57 @@ def test_no_record_writes_nothing(tmp_path, capsys):
     )
     assert code == 0
     assert not (tmp_path / "runs").exists()
+
+
+def _lacunary(q, n):
+    return [q**k for k in range(1, n + 1)]
+
+
+# The README CLI examples, each with an explicit --seed where the subcommand
+# takes one, and the config and input_hash their records held before the
+# config was derived from the parsed flags.
+README_RECORDS = [
+    (["eval", "--freqs", "1,2,5", "--theta", "0.25"],
+     {"freqs": [1, 2, 5], "theta": 0.25},
+     "75d30b9b8236e4e3107f4ab1bbf56d1dfce4d1f2736d805b603f788867722659"),
+    (["norms", "--lacunary", "8,12", "--method", "mc", "--samples", "1000000", "--seed", "7"],
+     {"freqs": _lacunary(8, 12), "p": 1, "method": "mc", "samples": 1000000, "seed": 7, "tol": 0.001},
+     "4a4a7371063774bfb53cb8bacc4fbb183720dda3a3415cdd27bfde2bd96e9484"),
+    (["norms", "--lacunary", "8,21", "--p", "4", "--seed", "11"],
+     {"freqs": _lacunary(8, 21), "p": 4, "method": "auto", "samples": 1000000, "seed": 11, "tol": 0.001},
+     "b99f7b2de44424f815e8046b6fea7fdc0e0fe93a1ea9793d2c20b3e46bb9c44c"),
+    (["energy", "--freqs", "1,2,4,8,13"],
+     {"freqs": [1, 2, 4, 8, 13]},
+     "a64bd23eff1f963e4c1c075d69330407e01ada0830acecf90821411f932c7512"),
+    (["sidon", "--n", "20"],
+     {"n": 20},
+     "494ee598bfd761306736aa2d7c8f85b4473700f3f3b94b866a4ccfe1b7ca42ef"),
+    (["clt", "--lacunary", "8,16", "--samples", "1000000", "--seed", "3", "--chain-audit",
+      "--csv", "phi.csv", "--report", "report.json"],
+     {"freqs": _lacunary(8, 16), "samples": 1000000, "seed": 3, "chain_audit": True},
+     "0447f396a5d174049926ed739b7da2b0ad473a44014126c0663f961cb6b7b219"),
+    (["search", "--n", "3", "--max-freq", "12", "--seed", "1"],
+     {"n": 3, "max_freq": 12, "mode": "exhaustive", "budget": 10000, "seed": 1},
+     "c723b0d5160de54342ca86eb9939d5be46edca2e2e44683190021e3c83e17a1d"),
+    (["study", "--q", "8", "--n-list", "4,8,16", "--samples", "10000000", "--seed", "7",
+      "--csv", "study.csv"],
+     {"q": 8, "n_list": [4, 8, 16], "samples": 10000000, "seed": 7},
+     "cfd780391cd16c2b2c57a6cca85043dc2866922cd74455649fda3ae396cf7b1d"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, input_hash", README_RECORDS, ids=[f"{r[0][0]}{i}" for i, r in enumerate(README_RECORDS)]
+)
+def test_readme_example_records_pinned_config(
+    tmp_path, monkeypatch, capsys, argv, config, input_hash
+):
+    monkeypatch.chdir(tmp_path)  # the --csv and --report paths are relative
+    code, _ = run_in(tmp_path, *argv, capsys=capsys)
+    assert code == 0
+    rec = load_record(only_record_dir(tmp_path))
+    assert rec.command == ["lacsum", "--runs-dir", str(tmp_path / "runs"), *argv]
+    assert list(rec.config.items()) == list(config.items())
+    assert rec.input_hash == input_hash
+    # where output goes is not part of what a replay re-runs
+    assert not {"csv", "report", "runs_dir", "no_record"} & set(rec.config)

@@ -234,6 +234,9 @@ def test_l1_auto_dispatch():
     assert mc.std_error <= 5e-3
     # one place knows the quadrature limit: just above it, l1_auto samples
     assert l1_auto(make_frequency_set([1, 2**21 + 1]), tol=0.05).method == "monte-carlo"
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=f"tol must be positive, got {tol!r}"):
+            l1_auto(lacunary_set(8, 16), tol=tol)
 
 
 def test_l1_auto_meets_its_error_target():

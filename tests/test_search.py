@@ -75,6 +75,11 @@ def test_exhaustive_space_guard():
         exhaustive_sigma(8, 2000)
 
 
+def test_anneal_cap_message_names_the_cap():
+    with pytest.raises(DomainError, match="1000000"):
+        anneal_sigma(3, max_freq=10**6 + 1, budget=10, seed=0)
+
+
 def test_anneal_recovers_known_optimum():
     r = anneal_sigma(2, max_freq=100, budget=300, seed=1)
     assert r.best_set.freqs == (1, 2)
