@@ -3,9 +3,10 @@
 Every subcommand emits JSON to stdout (sidon emits the frequency-set file
 format, clt and study can write CSV) and persists a replayable RunRecord
 under runs/ unless --no-record is given. The record's config is the parsed
-flags with the frequencies resolved and the seed drawn; output paths are
-not part of it. Exit codes: 0 success, 1 usage error (including an
-unreadable or unwritable file flag), 2 computation error, 3 replay mismatch.
+flags that the subcommand's executor read, with the frequencies resolved and
+the seed drawn; output paths are not part of it. Exit codes: 0 success, 1
+usage error (including an unreadable or unwritable file flag), 2
+computation error, 3 replay mismatch.
 """
 
 from __future__ import annotations
@@ -39,26 +40,40 @@ class SystemExit_Usage(Exception):
     pass
 
 
+def _int_list(text: str) -> list[int]:
+    """At least one comma-separated integer; empty entries are skipped."""
+    try:
+        values = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, e.g. 4,8,16; got {text!r}")
+    return values
+
+
+def _q_n(text: str) -> list[int]:
+    """Exactly two comma-separated integers q,n."""
+    try:
+        q, n = _int_list(text)
+    except (argparse.ArgumentTypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"takes q,n, e.g. 8,16; got {text!r}") from None
+    return [q, n]
+
+
 def _add_freq_flags(p: argparse.ArgumentParser):
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--freqs", help="comma-separated frequencies, e.g. 1,2,5")
+    g.add_argument("--freqs", type=_int_list, help="comma-separated frequencies, e.g. 1,2,5")
     g.add_argument("--freqs-file", help="file with one frequency per line (# comments)")
-    g.add_argument("--lacunary", help="q,n for the geometric set {q,...,q^n}")
+    g.add_argument("--lacunary", type=_q_n, help="q,n for the geometric set {q,...,q^n}")
 
 
 def _resolve_freqs(args) -> list[int]:
-    if args.freqs:
-        return [int(v) for v in args.freqs.split(",") if v.strip()]
     if args.freqs_file:
         try:
             return list(parse_freqs_file(args.freqs_file).freqs)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # an unreadable file, a bad line or an invalid set
             raise ValueError(f"--freqs-file: {exc}") from None
-    try:
-        q, n = (int(v) for v in args.lacunary.split(","))
-    except ValueError:
-        raise ValueError(f"--lacunary takes q,n, e.g. 8,16; got {args.lacunary!r}") from None
-    return list(lacunary_set(q, n).freqs)
+    return args.freqs or list(lacunary_set(*args.lacunary).freqs)
 
 
 def _whole_number(text: str) -> int:
@@ -70,17 +85,6 @@ def _whole_number(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
-
-
-def _n_list(text: str) -> list[int]:
-    """At least one comma-separated integer."""
-    try:
-        n_list = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        n_list = []
-    if not n_list:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, e.g. 4,8,16; got {text!r}")
-    return n_list
 
 
 def _resolve_seed(value) -> int:
@@ -128,7 +132,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("study", help="q-lacunary convergence study")
     p.add_argument("--q", type=int, default=8)
-    p.add_argument("--n-list", type=_n_list, required=True, help="comma-separated, e.g. 4,8,16")
+    p.add_argument("--n-list", type=_int_list, required=True, help="comma-separated, e.g. 4,8,16")
     p.add_argument("--samples", type=_whole_number, default=10**6)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--csv", help="write rows as CSV to this path")
@@ -192,7 +196,7 @@ def _exec_clt(config: dict):
     report = cltlab.clt_report(
         fs,
         McConfig(samples=config["samples"], seed=config["seed"]),
-        with_chain_audit=config.get("chain_audit", False),
+        with_chain_audit=config["chain_audit"],
     )
     payload = {"schema": 1, **asdict(report), "phi_grid": [_phi_point_dict(pt) for pt in report.phi_grid]}
     audit = payload.pop("chain_audit")
@@ -240,14 +244,21 @@ _EXECUTORS = {
 }
 
 
-# Flags that say where output goes or where the frequencies come from; the
-# resolved frequencies are recorded instead.
-_NOT_CONFIG = {"no_record", "runs_dir", "subcommand", "freqs_file", "lacunary", "report", "csv"}
+class _ReadKeys(dict):
+    """A config that notes each key its executor reads by indexing; the record keeps only those."""
+
+    def __init__(self, config: dict):
+        super().__init__(config)
+        self.read: set = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
 
-def _config_from_args(args) -> dict:
-    """The subcommand's flags, in declaration order, with freqs resolved and seed drawn."""
-    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+def _config_from_args(args) -> _ReadKeys:
+    """The parsed flags, in declaration order, with freqs resolved and seed drawn."""
+    config = _ReadKeys(vars(args))
     if "freqs" in config:
         config["freqs"] = _resolve_freqs(args)
     if "seed" in config:
@@ -331,12 +342,13 @@ def run(argv=None) -> int:
         return EXIT_USAGE
 
     if not args.no_record:
+        recorded = {k: v for k, v in config.items() if k in config.read}
         record = records.RunRecord(
             schema=records.SCHEMA_VERSION,
             command=["lacsum"] + argv,
             subcommand=args.subcommand,
-            config=config,
-            input_hash=records.config_hash(config),
+            config=recorded,
+            input_hash=records.config_hash(recorded),
             started=started,
             finished=finished,
             payload=json.loads(json.dumps(payload)),

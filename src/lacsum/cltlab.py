@@ -58,20 +58,14 @@ def _w_vec(x: np.ndarray) -> np.ndarray:
     return x * x / 2.0 + 1j * x - np.log(1.0 + 1j * x)
 
 
-def _cos_sin(k: int, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 pi k theta, from the one-frequency sum."""
-    z = fq.sum_values(FrequencySet((k,)), thetas)
-    return z.real, z.imag
-
-
 def alpha_at(fs: FrequencySet, s: float, t: float, thetas: np.ndarray) -> np.ndarray:
     """alpha(s,t)(theta) = prod_j (1 + is sin(2 pi k_j theta)/sqrt(n)) (1 + it cos(...)/sqrt(n))."""
     rt = math.sqrt(fs.n)
     out = np.ones(np.shape(thetas), dtype=np.complex128)
     for k in fs:
-        c, sn = _cos_sin(k, thetas)
-        out *= 1.0 + 1j * s * sn / rt
-        out *= 1.0 + 1j * t * c / rt
+        z = fq.sum_values(FrequencySet((k,)), thetas)
+        out *= 1.0 + 1j * s * z.imag / rt
+        out *= 1.0 + 1j * t * z.real / rt
     return out
 
 
@@ -81,7 +75,8 @@ def beta_at(fs: FrequencySet, s: float, t: float, thetas: np.ndarray) -> np.ndar
     rt = math.sqrt(n)
     out = np.zeros(np.shape(thetas), dtype=np.complex128)
     for k in fs:
-        c, sn = _cos_sin(k, thetas)
+        z = fq.sum_values(FrequencySet((k,)), thetas)
+        c, sn = z.real, z.imag
         out += (s * s - t * t) * (c * c - sn * sn) / (4.0 * n)
         out += _w_vec(s * sn / rt)
         out += _w_vec(t * c / rt)

@@ -149,9 +149,10 @@ def evaluate_sum(fs: FrequencySet, theta: float) -> complex:
 # e^{2 pi i w / 2^64} is taken from w without libm (Tang, ARITH 1991): the
 # top _TABLE_BITS bits of w index a table of e^{2 pi i j / 2^B}, the low
 # bits x give r = 2 pi x / 2^64 < 2 pi / 2^B, short Taylor polynomials give
-# sin r and cos r, and one angle addition joins the two.
-# Only IEEE + and x and a gather touch the data, so the sums do not depend on
-# the platform's cos and sin. Each term is within ~2e-16 of e^{2 pi i k theta}.
+# sin r and cos r, and one complex multiply-add joins the two. Only IEEE +
+# and x and a gather touch the data, so the sums depend neither on the
+# platform's cos and sin nor on fused multiply-adds (see _add_unit_roots).
+# Each term is within ~2e-16 of e^{2 pi i k theta}.
 # ---------------------------------------------------------------------------
 
 _TABLE_BITS = 13
@@ -166,97 +167,99 @@ _S3 = -(_S1**3) / 6.0
 _C2 = -(_S1**2) / 2.0
 _C4 = _S1**4 / 24.0
 
-# Points per block; the block's eight work arrays take 64 bytes per point,
-# 1 MB in all, and stay in a core's L2 cache. Each numpy call releases the
-# GIL only while it runs, so shorter blocks spend the time of a second
+# Points per block; the block's four complex work rows take 64 bytes per
+# point, 1 MB in all, and stay in a core's L2 cache. Each numpy call releases
+# the GIL only while it runs, so shorter blocks spend the time of a second
 # worker thread on passing the GIL back and forth, and longer ones raise the
 # peak memory of a threaded run.
 _BLOCK = 1 << 14
 
 
-def _unit_roots(bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of 2 pi j / 2^bits for every j < 2^bits.
+def _unit_roots(bits: int) -> np.ndarray:
+    """e^{2 pi i j / 2^bits} for every j < 2^bits.
 
     math.cos and math.sin are taken on the first octant only, where the
     rounded angle pi j / 2^(bits-1) <= pi/4 is most accurate; the other
-    entries follow by exact swaps and sign changes.
+    entries follow by exact swaps and sign changes. The parts are set one
+    by one, as a product with 1j would lose the signed zeros.
     """
     eighth = 1 << (bits - 3)
     ang = [math.pi * j / (1 << (bits - 1)) for j in range(eighth + 1)]
     c, s = np.array([math.cos(a) for a in ang]), np.array([math.sin(a) for a in ang])
     qc = np.concatenate([c, s[-2:0:-1]])  # cos 2 pi j / 2^bits = sin 2 pi (2^bits/4 - j) / 2^bits
     qs = np.concatenate([s, c[-2:0:-1]])
-    return np.concatenate([qc, -qs, -qc, qs]), np.concatenate([qs, qc, -qs, -qc])
+    table = np.empty(1 << bits, dtype=np.complex128)
+    table.real, table.imag = np.concatenate([qc, -qs, -qc, qs]), np.concatenate([qs, qc, -qs, -qc])
+    return table
 
 
-_TABLE_COS, _TABLE_SIN = _unit_roots(_TABLE_BITS)
+_TABLE = _unit_roots(_TABLE_BITS)
 
 
-def _add_unit_roots(fs: FrequencySet, m: np.ndarray, factor: int, re: np.ndarray, im=None) -> None:
-    """re += sum_k cos 2 pi w_k / 2^64 and, given im, im += sum_k sin 2 pi w_k / 2^64.
+def _add_unit_roots(fs: FrequencySet, m: np.ndarray, factor: int, out: np.ndarray) -> None:
+    """out += sum_k e^{2 pi i w_k / 2^64}, out complex128 and shaped like m.
 
     w_k = (factor k mod 2^64) m wraps in uint64. m is split into _BLOCK-point
     blocks that share one work buffer; within a block the frequencies are
     added in order, as a per-frequency loop over all of m would.
     """
     mults = [np.uint64(factor * k % 2**64) for k in fs]
-    work = np.empty((8, min(_BLOCK, m.size)))
+    rows = np.empty((4, min(_BLOCK, m.size)), dtype=np.complex128)
+    rows[1] = 0  # i sin r: only its imaginary part is ever written
     for lo in range(0, m.size, _BLOCK):
-        hi = min(lo + _BLOCK, m.size)
-        w, top = work[0, : hi - lo].view(np.uint64), work[1, : hi - lo].view(np.int64)
-        top_u = top.view(np.uint64)  # < 2^B: the same bits read as int64 for np.take
-        x, x2, sin_r, cos_r1, ca, sa = work[2:, : hi - lo]
-        t1, t2 = x, x2  # free again once the polynomials are taken
+        n = min(_BLOCK, m.size - lo)
+        cos_r1, i_sin_r, term, t = rows[:, :n]
+        # the float work lives in rows not yet in use: w (then x^2) and top
+        # in t, x and the polynomials in term
+        w, top = t.view(np.uint64)[:n], t.view(np.int64)[n:]
+        top_u, x2 = top.view(np.uint64), w.view(np.float64)  # top < 2^B reads the same as int64
+        x, poly = term.view(np.float64)[:n], term.view(np.float64)[n:]
         for mult in mults:
-            np.multiply(m[lo:hi], mult, out=w)
+            np.multiply(m[lo : lo + n], mult, out=w)
             np.right_shift(w, _LOW_BITS, out=top_u)
             np.bitwise_and(w, _LOW_MASK, out=w)
             x[...] = w  # < 2^51: exact
             np.square(x, out=x2)
-            np.multiply(x2, _S3, out=sin_r)
-            sin_r += _S1
-            sin_r *= x
-            np.multiply(x2, _C4, out=cos_r1)
-            cos_r1 += _C2
-            cos_r1 *= x2
+            np.multiply(x2, _S3, out=poly)
+            poly += _S1
+            np.multiply(poly, x, out=i_sin_r.imag)
+            np.multiply(x2, _C4, out=poly)
+            poly += _C2
+            np.multiply(poly, x2, out=cos_r1)  # (cos r - 1) + 0i
             # indices are in range; mode="clip" only spares numpy a copy of out
-            np.take(_TABLE_COS, top, out=ca, mode="clip")
-            np.take(_TABLE_SIN, top, out=sa, mode="clip")
-            # cos(a + r) = cos a + (cos a (cos r - 1) - sin a sin r), and
-            # sin(a + r) likewise: the correction is small, so only the last
-            # addition rounds at the size of the term
-            np.multiply(ca, cos_r1, out=t1)
-            t1 -= np.multiply(sa, sin_r, out=t2)
-            t1 += ca
-            re[lo:hi] += t1
-            if im is not None:
-                np.multiply(sa, cos_r1, out=t1)
-                t1 += np.multiply(ca, sin_r, out=t2)
-                t1 += sa
-                im[lo:hi] += t1
+            np.take(_TABLE, top, out=term, mode="clip")
+            # e^{i(a + r)} = e^{ia} + (e^{ia} (cos r - 1) + e^{ia} i sin r): one
+            # part of each factor is 0, so every product rounds once, fused
+            # multiply-add or not. The correction is small, so only the last
+            # addition rounds at the size of the term.
+            cos_r1 *= term
+            np.multiply(term, i_sin_r, out=t)
+            t += cos_r1
+            t += term
+            out[lo : lo + n] += t
 
 
 def sum_components_dyadic(
-    fs: FrequencySet, m: np.ndarray, re: np.ndarray | None = None, im: np.ndarray | None = None
+    fs: FrequencySet, m: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Re S, Im S) at theta = m/2^63, vectorized over m (uint64, 63-bit).
 
-    Given re and im (float64, contiguous, shaped like m), the sums are added
-    into them and they are returned. The frequencies are added one at a time
-    in order, so adding {k_1..k_a} and then {k_a+1..k_n} gives, bit for bit,
-    the sums of {k_1..k_n}.
+    Given out (complex128, contiguous, shaped like m), S is added into it,
+    and its real and imaginary views are returned. The frequencies are added
+    one at a time in order, so adding {k_1..k_a} and then {k_a+1..k_n} gives,
+    bit for bit, the sums of {k_1..k_n}.
     """
-    if re is None:
-        re, im = np.zeros(m.shape), np.zeros(m.shape)
-    _add_unit_roots(fs, m.reshape(-1), 2, re.reshape(-1), im.reshape(-1))
-    return re, im
+    if out is None:
+        out = np.zeros(m.shape, dtype=np.complex128)
+    _add_unit_roots(fs, m.reshape(-1), 2, out.reshape(-1))
+    return out.real, out.imag
 
 
 def cos_double_sum_dyadic(fs: FrequencySet, m: np.ndarray) -> np.ndarray:
     """sum_j cos(4 pi k_j theta) at theta = m/2^63 (the doubled-frequency cosine sum)."""
-    out = np.zeros(m.shape)
+    out = np.zeros(m.shape, dtype=np.complex128)
     _add_unit_roots(fs, m.reshape(-1), 4, out.reshape(-1))
-    return out
+    return out.real
 
 
 def sum_values(fs: FrequencySet, thetas) -> np.ndarray:
@@ -272,5 +275,5 @@ def sum_values(fs: FrequencySet, thetas) -> np.ndarray:
     np.ldexp(frac, 64, out=frac)
     frac[frac == 2.0**64] = 0.0  # a tiny negative theta rounds to 1 mod 1
     out = np.zeros(frac.size, dtype=np.complex128)
-    _add_unit_roots(fs, frac.astype(np.uint64), 1, out.real, out.imag)
+    _add_unit_roots(fs, frac.astype(np.uint64), 1, out)
     return out.reshape(th.shape)

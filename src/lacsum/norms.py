@@ -126,16 +126,16 @@ def _mc_mean(cfg: McConfig, chunk_sums: Callable[[tuple, np.ndarray], np.ndarray
 def _abs_prefix_sums(fs: FrequencySet, m: np.ndarray, ns: Sequence[int]) -> np.ndarray:
     """_moment_sums of |S| at theta = m/2^63 for each prefix {k_1..k_n}, n in ns (ascending, distinct).
 
-    One pair of running sums takes the frequencies segment by segment, so
-    each prefix costs only its new frequencies and is bit-identical to
-    evaluating it alone.
+    One running sum takes the frequencies segment by segment, so each prefix
+    costs only its new frequencies and is bit-identical to evaluating it
+    alone.
     """
-    re, im = np.zeros(m.shape), np.zeros(m.shape)
+    z = np.zeros(m.shape, dtype=np.complex128)
     sums, done = [], 0
     for n in ns:
-        fq.sum_components_dyadic(FrequencySet(fs.freqs[done:n]), m, re, im)
+        fq.sum_components_dyadic(FrequencySet(fs.freqs[done:n]), m, z)
         done = n
-        sums += _moment_sums(np.hypot(re, im))
+        sums += _moment_sums(np.hypot(z.real, z.imag))
     return np.array(sums)
 
 
@@ -209,7 +209,7 @@ def l1_auto(fs: FrequencySet, tol: float, seed: int = 0) -> NormEstimate:
     sigma = (pilot.std_error or 0.0) * math.sqrt(pilot.samples)
     needed = max(int(math.ceil((3.0 * sigma / tol) ** 2)), 1 << 14)
     if needed > MAX_MC_SAMPLES:
-        raise BudgetExceeded(f"tolerance {tol} would need {needed} samples")
+        raise BudgetExceeded(f"tolerance {tol} would need {needed} samples, over MAX_MC_SAMPLES = {MAX_MC_SAMPLES}")
     return l1_monte_carlo(fs, McConfig(samples=needed, seed=seed))
 
 

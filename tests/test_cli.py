@@ -241,6 +241,26 @@ def test_malformed_lacunary_names_the_flag(tmp_path, capsys, lacunary):
 
 
 @pytest.mark.parametrize(
+    "flag, args, text",
+    [
+        ("--freqs", ["eval", "--freqs", "1,x", "--theta", "0"], None),
+        ("--freqs", ["energy", "--freqs", ","], None),
+        ("--n-list", ["study", "--n-list", "4,x"], None),
+        ("--freqs-file", ["energy", "--freqs-file", "{file}"], "1\nx\n"),
+        ("--freqs-file", ["energy", "--freqs-file", "{file}"], "# comments only\n"),
+    ],
+)
+def test_bad_integer_lists_are_usage_errors_naming_the_flag(tmp_path, capsys, flag, args, text):
+    path = tmp_path / "freqs.txt"
+    if text is not None:
+        path.write_text(text)
+    code = run(["--runs-dir", str(tmp_path / "runs"), *(a.format(file=path) for a in args)])
+    assert code == 1
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
     "flag, args",
     [
         ("--freqs-file", ["norms", "--freqs-file", "{missing}"]),
@@ -342,23 +362,36 @@ def test_no_record_writes_nothing(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["search", "--n", "2", "--max-freq", "6"], ["norms", "--p", "4", "--lacunary", "8,5"]],
+)
+def test_unread_flags_stay_out_of_the_record(tmp_path, capsys, argv):
+    # neither run reads a seed, so two runs without --seed record the same config
+    hashes = []
+    for run_dir in ("a", "b"):
+        assert run(["--runs-dir", str(tmp_path / run_dir), *argv]) == 0
+        hashes.append(load_record(next((tmp_path / run_dir).iterdir())).input_hash)
+    assert hashes[0] == hashes[1]
+
+
 def _lacunary(q, n):
     return [q**k for k in range(1, n + 1)]
 
 
 # The README CLI examples, each with an explicit --seed where the subcommand
-# takes one, and the config and input_hash their records held before the
-# config was derived from the parsed flags.
+# takes one, and the config and input_hash of their records: the flags the
+# executor read, with the frequencies resolved.
 README_RECORDS = [
     (["eval", "--freqs", "1,2,5", "--theta", "0.25"],
      {"freqs": [1, 2, 5], "theta": 0.25},
      "75d30b9b8236e4e3107f4ab1bbf56d1dfce4d1f2736d805b603f788867722659"),
     (["norms", "--lacunary", "8,12", "--method", "mc", "--samples", "1000000", "--seed", "7"],
-     {"freqs": _lacunary(8, 12), "p": 1, "method": "mc", "samples": 1000000, "seed": 7, "tol": 0.001},
-     "4a4a7371063774bfb53cb8bacc4fbb183720dda3a3415cdd27bfde2bd96e9484"),
+     {"freqs": _lacunary(8, 12), "p": 1, "method": "mc", "samples": 1000000, "seed": 7},
+     "c65e81991c3b6f84f21e07c5ce7473a918d31dcb2761292aef1c9a347dbcfd0b"),
     (["norms", "--lacunary", "8,21", "--p", "4", "--seed", "11"],
-     {"freqs": _lacunary(8, 21), "p": 4, "method": "auto", "samples": 1000000, "seed": 11, "tol": 0.001},
-     "b99f7b2de44424f815e8046b6fea7fdc0e0fe93a1ea9793d2c20b3e46bb9c44c"),
+     {"freqs": _lacunary(8, 21), "p": 4, "method": "auto"},
+     "1f3c06879467adeaa550c65fbf74e44c23bf1aaa3cc2345370b266cfcad853ed"),
     (["energy", "--freqs", "1,2,4,8,13"],
      {"freqs": [1, 2, 4, 8, 13]},
      "a64bd23eff1f963e4c1c075d69330407e01ada0830acecf90821411f932c7512"),
@@ -370,8 +403,8 @@ README_RECORDS = [
      {"freqs": _lacunary(8, 16), "samples": 1000000, "seed": 3, "chain_audit": True},
      "0447f396a5d174049926ed739b7da2b0ad473a44014126c0663f961cb6b7b219"),
     (["search", "--n", "3", "--max-freq", "12", "--seed", "1"],
-     {"n": 3, "max_freq": 12, "mode": "exhaustive", "budget": 10000, "seed": 1},
-     "c723b0d5160de54342ca86eb9939d5be46edca2e2e44683190021e3c83e17a1d"),
+     {"n": 3, "max_freq": 12, "mode": "exhaustive"},
+     "34d67e6eea77664b8e3190a313d762c7948564d7173ae950758a2a7d23ba3038"),
     (["study", "--q", "8", "--n-list", "4,8,16", "--samples", "10000000", "--seed", "7",
       "--csv", "study.csv"],
      {"q": 8, "n_list": [4, 8, 16], "samples": 10000000, "seed": 7},

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import tracemalloc
@@ -24,7 +25,7 @@ from lacsum import (
 from lacsum import rng
 from lacsum.energy import count_quadruple_solutions
 from lacsum.errors import BudgetExceeded, FrequencyTooLarge
-from lacsum.frequency import sum_values
+from lacsum.frequency import cos_double_sum_dyadic, sum_components_dyadic, sum_values
 from lacsum.norms import MAX_MC_SAMPLES, num_workers
 from lacsum.quadrature import MAX_HARMONIC, panel_count
 from oracles import midpoint_l1, periodic_mean
@@ -176,6 +177,28 @@ def test_payload_bits_are_pinned():
         ("0x1.1813a1324397ep+0", "0x1.ab8950f832797p+0"),
         ("0x1.fffffffffffffp-1", "-0x1.6a09e667f3bccp+0"),
     ]
+    # 2^16 points in one hash: a single moved bit, such as from a fused
+    # multiply-add, shows here even where the sums above absorb it
+    m = np.random.default_rng(11).integers(0, 1 << 63, size=1 << 16, dtype=np.uint64)
+    re, im = sum_components_dyadic(lacunary_set(8, 16), m)
+    digest = hashlib.sha256(re.tobytes() + im.tobytes()).hexdigest()
+    assert digest == "812bd0b5c41b9fc9b07179c83a0e8fcb9aaaa66336225333f164350cf5618586"
+    # every other kernel entry point and payload that sums its terms
+    fs = make_frequency_set([1, 3, 2**16, 8**21])
+    m = np.array([0x1234567890ABCDEF, 0x5DEECE66D1234567, 0x7FEDCBA987654321, 0x0F0F0F0F12345678], dtype=np.uint64)
+    re, im = sum_components_dyadic(fs, m)
+    assert [float(v).hex() for v in re] == [
+        "0x1.1eba5c0ff7a18p-2", "0x1.c098eeab742e6p-2", "0x1.14665134d7850p+1", "0x1.e019025d3e5a4p+0"]
+    assert [float(v).hex() for v in im] == [
+        "0x1.5358172234c1ep-2", "-0x1.617492fa8179bp-1", "-0x1.1c80dce63d0b9p-1", "0x1.129ccda26a62ap+1"]
+    assert [float(v).hex() for v in cos_double_sum_dyadic(fs, m)] == [
+        "0x1.97c9378c39e09p-1", "-0x1.497b4f3e2a950p-1", "0x1.b4d89ef0a6c10p+1", "0x1.d25d6d2886abcp-1"]
+    mc = McConfig(70_001, seed=3, chunk_size=8192)
+    assert markov_tail_fraction(lacunary_set(8, 16), mc).hex() == "0x1.0713938f58d3cp-8"
+    row = convergence_study(8, [4, 16], mc)[0]
+    assert (row.normalized_l1.hex(), row.std_error.hex()) == ("0x1.cc7b52b23933ap-1", "0x1.b0f0da178b1cap-10")
+    report = clt_report(lacunary_set(8, 16), mc)
+    assert (report.radial_mean.hex(), report.radial_std_error.hex()) == ("0x1.c6c5d5c52f2f6p-1", "0x1.c32ffeedbd493p-10")
 
 
 def test_every_mc_statistic_draws_each_chunk_once(monkeypatch):
@@ -246,7 +269,7 @@ def test_l1_auto_meets_its_error_target():
 
 
 def test_l1_auto_budget_exceeded():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="MAX_MC_SAMPLES"):
         l1_auto(lacunary_set(8, 16), tol=1e-7)
 
 
