@@ -163,7 +163,7 @@ def _exec_norms(config: dict):
             raise LacsumError("monte-carlo estimation is implemented for p = 1")
         est = norms.l1_monte_carlo(fs, McConfig(samples=config["samples"], seed=config["seed"]))
     elif method == "auto" and config["p"] == 1:
-        est = norms.l1_auto(fs, config["tol"], seed=config["seed"])
+        est = norms.l1_auto(fs, config["tol"], seed=lambda: config["seed"])
     else:
         est = norms.lp_norm_quadrature(fs, config["p"])
     return {"schema": 1, **asdict(est)}

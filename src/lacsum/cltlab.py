@@ -8,7 +8,9 @@ ingredient of that argument: the remainder w in
 e^{ix} = (1+ix) e^{-x^2/2 + w(x)}, the product decomposition alpha/beta, the
 lacunary orthogonality identity E[alpha] = 1, the explicit characteristic
 function deviation majorant, the smoothing inequality, Gaussian radial
-moments, and the final expectation chain audited with Monte Carlo error bars.
+moments, and the final expectation chain: its sampled side with Monte Carlo
+error bars, its Gaussian side in closed form. A report draws theta and the
+smoothing Gaussian Z only.
 """
 
 from __future__ import annotations
@@ -58,8 +60,16 @@ def _w_vec(x: np.ndarray) -> np.ndarray:
     return x * x / 2.0 + 1j * x - np.log(1.0 + 1j * x)
 
 
+def _finite_thetas(thetas) -> np.ndarray:
+    th = np.asarray(thetas, dtype=np.float64)
+    if not np.isfinite(th).all():
+        raise DomainError("theta must be finite")
+    return th
+
+
 def alpha_at(fs: FrequencySet, s: float, t: float, thetas: np.ndarray) -> np.ndarray:
     """alpha(s,t)(theta) = prod_j (1 + is sin(2 pi k_j theta)/sqrt(n)) (1 + it cos(...)/sqrt(n))."""
+    thetas = _finite_thetas(thetas)
     rt = math.sqrt(fs.n)
     out = np.ones(np.shape(thetas), dtype=np.complex128)
     for k in fs:
@@ -71,6 +81,7 @@ def alpha_at(fs: FrequencySet, s: float, t: float, thetas: np.ndarray) -> np.nda
 
 def beta_at(fs: FrequencySet, s: float, t: float, thetas: np.ndarray) -> np.ndarray:
     """beta(s,t)(theta): the exponent correction in the decomposition of e^{is mu + it nu}."""
+    thetas = _finite_thetas(thetas)
     n = fs.n
     rt = math.sqrt(n)
     out = np.zeros(np.shape(thetas), dtype=np.complex128)
@@ -186,6 +197,17 @@ def gaussian_abs_mean(g: GaussianSpec | float) -> float:
     return math.sqrt(math.pi * sigma2 / 2.0)
 
 
+def _truncated_abs_mean(sigma2: float, radius: float) -> float:
+    """E|Z| 1{|Z| <= radius} for Z ~ N(0, diag(sigma^2, sigma^2)), sigma2 > 0.
+
+    |Z| is Rayleigh with scale sigma; with a = radius / sigma the integral
+    is sigma (sqrt(pi/2) erf(a/sqrt 2) - a e^{-a^2/2}).
+    """
+    sigma = math.sqrt(sigma2)
+    a = radius / sigma
+    return sigma * (math.sqrt(math.pi / 2.0) * math.erf(a / math.sqrt(2.0)) - a * math.exp(-a * a / 2.0))
+
+
 @dataclass(frozen=True)
 class SmoothingInputs:
     t1: float
@@ -246,17 +268,16 @@ def _phase_rows(axis: list[float], x: np.ndarray) -> np.ndarray:
 
 
 def _chain_audit(mc: McConfig, chain: tuple, item: tuple, x: np.ndarray, y: np.ndarray) -> list:
-    """_moment_sums of |X+Z|, |X+Z| truncated, |Y+Z|, |Y+Z| truncated, |Z| for one chunk.
+    """_moment_sums of |X+Z| and of |X+Z| truncated, for one chunk.
 
-    X = (x, y) is the chunk's (mu, nu); its Z and Y come from their own
-    streams. chain is (radius, sigma2_z); the order is FinalChainAudit's.
+    X = (x, y) is the chunk's (mu, nu); its Z comes from its own stream.
+    chain is (radius, sigma2_z). The Gaussian side of the chain has closed
+    forms and is not sampled (clt_report).
     """
     radius, sigma2_z = chain
     z = rng.chunk_gaussian_pairs(mc.seed, rng.STREAM_Z, *item, math.sqrt(sigma2_z))
-    g = rng.chunk_gaussian_pairs(mc.seed, rng.STREAM_Y, *item, math.sqrt(0.5))
     xz = np.hypot(x + z[:, 0], y + z[:, 1])
-    yz = np.hypot(g[:, 0] + z[:, 0], g[:, 1] + z[:, 1])
-    return _moment_sums(xz, xz * (xz <= radius), yz, yz * (yz <= radius), np.hypot(*z.T))
+    return _moment_sums(xz, xz * (xz <= radius))
 
 
 def _sample_pass(
@@ -362,11 +383,14 @@ class ValueWithError:
 
 @dataclass(frozen=True)
 class FinalChainAudit:
-    """Every expectation in the closing inequality chain, with Monte Carlo errors.
+    """Every expectation in the closing inequality chain, with its standard error.
 
     X is the sampled (mu, nu) pair, Y the diag(1/2,1/2) Gaussian, Z the
     independent smoothing Gaussian with per-coordinate variance
-    (log n)^{-1/8}; truncation cuts at radius (log n)^{1/4}.
+    (log n)^{-1/8}; truncation cuts at radius (log n)^{1/4}. The X side is
+    Monte Carlo. The Gaussian side is exact, with std_error 0.0: Y + Z and Z
+    are centered isotropic Gaussians with variances 1/2 + sigma2_z and
+    sigma2_z per coordinate, so their radii are Rayleigh.
     """
 
     truncation_radius: float
@@ -442,6 +466,12 @@ def clt_report(fs: FrequencySet, mc: McConfig, with_chain_audit: bool = False) -
     (s_mu, s_mumu), (s_nu, s_nunu), (s_munu, _) = moments[1:4]
     gram = np.array([[s_mumu, s_munu], [s_munu, s_nunu]])
     gram -= np.outer([s_mu, s_nu], [s_mu, s_nu]) / count
+    audit = None
+    if chain:
+        radius, sigma2_z = chain
+        exact = (gaussian_abs_mean(0.5 + sigma2_z), _truncated_abs_mean(0.5 + sigma2_z, radius),
+                 gaussian_abs_mean(sigma2_z))
+        audit = FinalChainAudit(*chain, radial, *est[4:], *(ValueWithError(v, 0.0) for v in exact))
     return CltReport(
         n=fs.n,
         samples=count,
@@ -452,5 +482,5 @@ def clt_report(fs: FrequencySet, mc: McConfig, with_chain_audit: bool = False) -
         ks_nu=ks_distance_to_normal(nu, 0.5),
         cov_hat=(gram / (count - 1) if count > 1 else np.full((2, 2), math.nan)).tolist(),
         phi_grid=points,
-        chain_audit=FinalChainAudit(*chain, radial, *est[4:]) if chain else None,
+        chain_audit=audit,
     )

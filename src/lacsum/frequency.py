@@ -244,13 +244,16 @@ def sum_components_dyadic(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Re S, Im S) at theta = m/2^63, vectorized over m (uint64, 63-bit).
 
-    Given out (complex128, contiguous, shaped like m), S is added into it,
-    and its real and imaginary views are returned. The frequencies are added
+    Given out (complex128, C-contiguous, shaped like m), S is added into it,
+    and its real and imaginary views are returned; any other out raises
+    ValueError, as S could not be added in place. The frequencies are added
     one at a time in order, so adding {k_1..k_a} and then {k_a+1..k_n} gives,
     bit for bit, the sums of {k_1..k_n}.
     """
     if out is None:
         out = np.zeros(m.shape, dtype=np.complex128)
+    elif out.dtype != np.complex128 or out.shape != m.shape or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous complex128 array shaped like m")
     _add_unit_roots(fs, m.reshape(-1), 2, out.reshape(-1))
     return out.real, out.imag
 

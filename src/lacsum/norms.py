@@ -195,16 +195,19 @@ def _l1_prefixes(fs: FrequencySet, ns: Sequence[int], cfg: McConfig) -> list[Nor
     ]
 
 
-def l1_auto(fs: FrequencySet, tol: float, seed: int = 0) -> NormEstimate:
+def l1_auto(fs: FrequencySet, tol: float, seed: int | Callable[[], int] = 0) -> NormEstimate:
     """Quadrature up to quadrature.MAX_HARMONIC, else Monte Carlo sized to tol.
 
     The Monte Carlo branch targets std_error <= tol/3 on the (unnormalized)
-    value, with the sample count sized from a pilot run.
+    value, with the sample count sized from a pilot run. seed may be a
+    callable that returns it; only the Monte Carlo branch calls it, so a
+    caller that records its inputs records a seed only when one was used.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     if fs.k_max <= MAX_HARMONIC:
         return lp_norm_quadrature(fs, 1)
+    seed = seed() if callable(seed) else seed
     pilot = l1_monte_carlo(fs, McConfig(samples=1 << 14, seed=seed))
     sigma = (pilot.std_error or 0.0) * math.sqrt(pilot.samples)
     needed = max(int(math.ceil((3.0 * sigma / tol) ** 2)), 1 << 14)

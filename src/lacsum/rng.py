@@ -6,8 +6,7 @@ chunk partition, never on which worker produced it.
 
 Stream tags keep independent uses of the same seed apart:
   0  uniform theta draws, drawn only by norms._mc_mean for every Monte Carlo statistic
-  1  the smoothing Gaussian Z
-  2  the reference Gaussian Y
+  1  the smoothing Gaussian Z of the CLT chain audit
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from numpy.random import Generator, Philox
 
 STREAM_THETA = 0
 STREAM_Z = 1
-STREAM_Y = 2
 
 
 def _philox(seed: int, stream: int, chunk: int) -> Philox:

@@ -1,0 +1,30 @@
+"""The benchmark's in-process operations, each run once against its own check.
+
+The timed bench runs these ops and counts an op that raises or fails its
+check as a failure; running them here shows such a failure with the unit
+tests. The multiple-zero probes and the CLI ops start child processes and
+are left to the bench itself. bench/ is only read: no bytecode is written there.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+try:
+    import workloads  # noqa: E402
+finally:
+    sys.dont_write_bytecode = _write_bytecode
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("build", [workloads.mc_l1_ops, workloads.clt_audit_ops, workloads.exact_ops],
+                         ids=lambda f: f.__name__)
+def test_bench_op_passes_its_check(build, seed):
+    ops = build(seed, None)
+    assert ops
+    for op in ops:
+        assert op.check(op.run()) is None, op.name

@@ -96,6 +96,16 @@ def test_norms_mc_seed_is_recorded(tmp_path, capsys):
     assert rec.config["seed"] == payload["seed"]
 
 
+def test_norms_auto_records_its_seed_when_it_samples(tmp_path, capsys):
+    # one frequency above quadrature.MAX_HARMONIC sends --method auto to Monte Carlo
+    code, out = run_in(tmp_path, "norms", "--freqs", f"1,{2**21 + 1}", "--tol", "0.05", capsys=capsys)
+    assert code == 0 and json.loads(out)["method"] == "monte-carlo"
+    run_dir = only_record_dir(tmp_path)
+    assert load_record(run_dir).config["seed"] == json.loads(out)["seed"]
+    code, out = run_in(tmp_path, "--no-record", "replay", str(run_dir), capsys=capsys)
+    assert code == 0 and json.loads(out)["replay"] == "match"
+
+
 def test_norms_overflow_is_computation_error(tmp_path, capsys):
     code, _ = run_in(
         tmp_path, "norms", "--lacunary", "8,30", "--method", "quad", capsys=capsys
@@ -364,10 +374,14 @@ def test_no_record_writes_nothing(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["search", "--n", "2", "--max-freq", "6"], ["norms", "--p", "4", "--lacunary", "8,5"]],
+    [
+        ["search", "--n", "2", "--max-freq", "6"],
+        ["norms", "--p", "4", "--lacunary", "8,5"],
+        ["norms", "--freqs", "1,2,5"],  # --method auto takes quadrature here
+    ],
 )
 def test_unread_flags_stay_out_of_the_record(tmp_path, capsys, argv):
-    # neither run reads a seed, so two runs without --seed record the same config
+    # no run reads a seed, so two runs without --seed record the same config
     hashes = []
     for run_dir in ("a", "b"):
         assert run(["--runs-dir", str(tmp_path / run_dir), *argv]) == 0

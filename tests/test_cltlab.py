@@ -34,6 +34,7 @@ from lacsum import (
     w_remainder,
 )
 from lacsum import rng as lrng
+from lacsum.cltlab import _truncated_abs_mean
 from lacsum.errors import CapacityExceeded, DomainError
 from oracles import periodic_mean
 
@@ -101,6 +102,15 @@ def test_alpha_beta_pointwise_identity():
         )
         rhs = cmath.exp(1j * (s * sm.imag + t * sm.real))
         assert abs(lhs - rhs) < 1e-10
+
+
+@pytest.mark.parametrize("fn", [alpha_at, beta_at])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_alpha_beta_reject_non_finite_theta(fn, theta):
+    # sum_values would read a NaN or infinite theta as 1/2
+    with pytest.raises(DomainError, match="theta must be finite"):
+        fn(make_frequency_set([1, 3, 7]), 1.0, 1.0, np.array([0.25, theta]))
+    assert np.isfinite(fn(make_frequency_set([1, 3, 7]), 1.0, 1.0, [0.25, 0.5])).all()
 
 
 def test_alpha_mean_is_one_for_lacunary():
@@ -421,18 +431,14 @@ def test_clt_report_matches_full_array_reference():
         pairs = [lrng.chunk_gaussian_pairs(mc.seed, stream, c, k, sigma) for c, k in layout]
         return np.concatenate(pairs)
 
-    z = gauss(lrng.STREAM_Z, math.sqrt(math.log(8) ** -0.125))
-    y = gauss(lrng.STREAM_Y, math.sqrt(0.5))
+    sigma2_z = math.log(8) ** -0.125
+    z = gauss(lrng.STREAM_Z, math.sqrt(sigma2_z))
     abs_xz = np.hypot(mu + z[:, 0], nu + z[:, 1])
-    abs_yz = np.hypot(y[:, 0] + z[:, 0], y[:, 1] + z[:, 1])
     r = math.log(8) ** 0.25
     expected = {
         "e_abs_x": np.hypot(mu, nu),
         "e_abs_xz": abs_xz,
         "e_abs_xz_trunc": abs_xz * (abs_xz <= r),
-        "e_abs_yz": abs_yz,
-        "e_abs_yz_trunc": abs_yz * (abs_yz <= r),
-        "e_abs_z": np.hypot(z[:, 0], z[:, 1]),
     }
     got = {name: getattr(audit, name) for name in expected}
     got["radial"] = ValueWithError(rep.radial_mean, rep.radial_std_error)
@@ -441,6 +447,48 @@ def test_clt_report_matches_full_array_reference():
         assert abs(got[name].value - v.mean()) <= 1e-15, name
         assert abs(got[name].std_error - math.sqrt(v.var(ddof=1) / v.size)) <= 1e-17, name
     assert np.abs(np.array(rep.cov_hat) - np.cov(np.stack([mu, nu]), ddof=1)).max() <= 1e-15
+    # the Gaussian side is not sampled: Y + Z ~ N(0, (1/2 + sigma2_z) I)
+    assert audit.e_abs_yz == ValueWithError(gaussian_abs_mean(0.5 + sigma2_z), 0.0)
+    assert audit.e_abs_yz_trunc == ValueWithError(_truncated_abs_mean(0.5 + sigma2_z, r), 0.0)
+    assert audit.e_abs_z == ValueWithError(gaussian_abs_mean(sigma2_z), 0.0)
+
+
+def test_truncated_abs_mean_matches_midpoint_oracle():
+    # E|G| 1{|G| <= R} is the integral of r * (r / s^2) e^{-r^2 / 2 s^2}, the
+    # Rayleigh density times r, over [0, R]; the chain's own (s^2, R) at
+    # n = 2, 16 and 1000, then small, large and far-tail radii
+    cases = [
+        (s2, math.log(n) ** 0.25)
+        for n in (2, 16, 1000)
+        for s2 in (math.log(n) ** -0.125, 0.5 + math.log(n) ** -0.125)
+    ]
+    cases += [(1.0, 0.01), (1.0, 1.0), (0.25, 3.0), (4.0, 0.5), (1.0, 10.0)]
+    m = 2_000_000
+    for s2, radius in cases:
+        r = (np.arange(m) + 0.5) * (radius / m)
+        oracle = float(np.sum(r * r * np.exp(-r * r / (2.0 * s2)))) / s2 * (radius / m)
+        assert abs(_truncated_abs_mean(s2, radius) - oracle) <= 1e-13, (s2, radius)
+    assert _truncated_abs_mean(1.0, 40.0) == gaussian_abs_mean(1.0)
+
+
+def test_exact_gaussian_side_matches_sampled_y():
+    # Y drawn here as the audit once drew it, from stream tag 2, with Z from
+    # STREAM_Z: each sampled mean lies within 4 standard errors of the exact field
+    audit = clt_report(lacunary_set(8, 16), McConfig(samples=1000, seed=3), with_chain_audit=True).chain_audit
+    layout = lrng.chunk_layout(10**6, McConfig(samples=1).chunk_size)
+
+    def gauss(stream, sigma2):
+        return np.concatenate([lrng.chunk_gaussian_pairs(3, stream, c, k, math.sqrt(sigma2)) for c, k in layout])
+
+    z = gauss(lrng.STREAM_Z, audit.sigma2_z)
+    abs_yz = np.hypot(*(z + gauss(2, 0.5)).T)
+    sampled = {
+        "e_abs_yz": abs_yz,
+        "e_abs_yz_trunc": abs_yz * (abs_yz <= audit.truncation_radius),
+        "e_abs_z": np.hypot(*z.T),
+    }
+    for name, v in sampled.items():
+        assert abs(v.mean() - getattr(audit, name).value) <= 4 * v.std(ddof=1) / math.sqrt(v.size), name
 
 
 def test_single_sample_reports_nan_uncertainty():
@@ -453,8 +501,10 @@ def test_single_sample_reports_nan_uncertainty():
     assert math.isfinite(est.value) and math.isnan(est.std_error)
     assert rep.radial_mean == est.normalized and math.isnan(rep.radial_std_error)
     assert all(math.isnan(c) for row in rep.cov_hat for c in row)
-    for name in ("e_abs_x", "e_abs_xz", "e_abs_xz_trunc", "e_abs_yz", "e_abs_yz_trunc", "e_abs_z"):
+    for name in ("e_abs_x", "e_abs_xz", "e_abs_xz_trunc"):
         assert math.isnan(getattr(rep.chain_audit, name).std_error), name
+    for name in ("e_abs_yz", "e_abs_yz_trunc", "e_abs_z"):
+        assert getattr(rep.chain_audit, name).std_error == 0.0, name
 
 
 def test_clt_report_memory_is_chunk_sized_plus_mu_nu(monkeypatch):

@@ -196,6 +196,21 @@ def test_dyadic_kernel_does_not_depend_on_blocking():
         assert np.array_equal(cos_double_sum_dyadic(fs, part), cos2[lo : lo + 7777])
     empty = np.zeros(0, dtype=np.uint64)
     assert sum_components_dyadic(fs, empty)[0].size == 0 and cos_double_sum_dyadic(fs, empty).size == 0
+    # and any split of the frequencies, added into one out in order
+    out = np.zeros(m.shape, dtype=np.complex128)
+    sum_components_dyadic(make_frequency_set([3, 10]), m, out)
+    sum_components_dyadic(make_frequency_set([8**20]), m, out)
+    assert np.array_equal(out.real, re) and np.array_equal(out.imag, im)
+    # an out that the sums cannot go into in place is refused, not left at 0
+    m42 = m[:8].reshape(4, 2)
+    for bad in (
+        np.zeros((4, 4), dtype=np.complex128)[:, :2],
+        np.zeros((2, 4), dtype=np.complex128).T,
+        np.zeros((4, 2), dtype=np.complex64),
+        np.zeros(8, dtype=np.complex128),
+    ):
+        with pytest.raises(ValueError, match="C-contiguous complex128"):
+            sum_components_dyadic(lacunary_set(8, 3), m42, bad)
 
 
 def test_sum_values_matches_scalar_reference():

@@ -197,8 +197,12 @@ def test_payload_bits_are_pinned():
     assert markov_tail_fraction(lacunary_set(8, 16), mc).hex() == "0x1.0713938f58d3cp-8"
     row = convergence_study(8, [4, 16], mc)[0]
     assert (row.normalized_l1.hex(), row.std_error.hex()) == ("0x1.cc7b52b23933ap-1", "0x1.b0f0da178b1cap-10")
-    report = clt_report(lacunary_set(8, 16), mc)
+    report = clt_report(lacunary_set(8, 16), mc, with_chain_audit=True)
     assert (report.radial_mean.hex(), report.radial_std_error.hex()) == ("0x1.c6c5d5c52f2f6p-1", "0x1.c32ffeedbd493p-10")
+    # the sampled side of the chain audit, recorded while Y was still sampled
+    audit = report.chain_audit
+    assert [(v.value.hex(), v.std_error.hex()) for v in (audit.e_abs_xz, audit.e_abs_xz_trunc)] == [
+        ("0x1.788c757a860f0p+0", "0x1.7bc1568f551a6p-9"), ("0x1.754072ec66ca7p-2", "0x1.c02e2f2ed9912p-10")]
 
 
 def test_every_mc_statistic_draws_each_chunk_once(monkeypatch):
