@@ -87,6 +87,13 @@ def _whole_number(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
 
 
+def _positive_real(text: str) -> float:
+    """A finite number > 0; not 0, -1, inf or nan."""
+    if not 0 < float(text) < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return float(text)
+
+
 def _resolve_seed(value) -> int:
     return int(value) if value is not None else secrets.randbits(63)
 
@@ -107,7 +114,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", default="auto", choices=("auto", "quad", "mc"))
     p.add_argument("--samples", type=_whole_number, default=10**6)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=_positive_real, default=1e-3)
 
     p = sub.add_parser("energy", help="additive energy and the Hoelder certificate")
     _add_freq_flags(p)
@@ -163,7 +170,7 @@ def _exec_norms(config: dict):
             raise LacsumError("monte-carlo estimation is implemented for p = 1")
         est = norms.l1_monte_carlo(fs, McConfig(samples=config["samples"], seed=config["seed"]))
     elif method == "auto" and config["p"] == 1:
-        est = norms.l1_auto(fs, config["tol"], seed=lambda: config["seed"])
+        est = norms.l1_auto(fs, lambda: config["tol"], seed=lambda: config["seed"])
     else:
         est = norms.lp_norm_quadrature(fs, config["p"])
     return {"schema": 1, **asdict(est)}

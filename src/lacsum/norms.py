@@ -57,6 +57,7 @@ class NormEstimate:
     n: int
     seed: Optional[int] = None
     samples: Optional[int] = None
+    error_bound: Optional[float] = None  # quadrature only: see quadrature.integrate_abs_adaptive
 
 
 def num_workers() -> int:
@@ -145,9 +146,9 @@ def lp_norm_quadrature(fs: FrequencySet, p: int) -> NormEstimate:
     For p in {2, 4} the norm is exact: ||S||_2^2 = n by Parseval and
     ||S||_4^4 is the additive energy K, counted exactly for any 64-bit set.
     For p = 1 the integrand |S| has kinks at zeros of S; those panels are
-    refined adaptively, and the accuracy is validated empirically against
-    closed forms. p = 1 raises FrequencyTooLarge above
-    quadrature.MAX_HARMONIC.
+    refined adaptively to a fixed depth; error_bound bounds the panels kept
+    at that depth, and the rest are accurate to ~2e-15 on closed forms.
+    p = 1 raises FrequencyTooLarge above quadrature.MAX_HARMONIC.
     """
     if p not in (1, 2, 4):
         raise ValueError("p must be one of 1, 2, 4")
@@ -155,7 +156,7 @@ def lp_norm_quadrature(fs: FrequencySet, p: int) -> NormEstimate:
         value = math.sqrt(fs.n) if p == 2 else count_quadruple_solutions(fs) ** 0.25
         return NormEstimate(p=p, value=value, normalized=None, std_error=None, method="exact", n=fs.n)
     lip = 2.0 * math.pi * sum(fs.freqs)  # |S'| bound
-    value = integrate_abs_adaptive(lambda th: np.abs(fq.sum_values(fs, th)), lip, fs.k_max)
+    value, bound = integrate_abs_adaptive(lambda th: np.abs(fq.sum_values(fs, th)), lip, fs.k_max)
     return NormEstimate(
         p=1,
         value=value,
@@ -163,6 +164,7 @@ def lp_norm_quadrature(fs: FrequencySet, p: int) -> NormEstimate:
         std_error=None,
         method="quadrature",
         n=fs.n,
+        error_bound=bound,
     )
 
 
@@ -195,16 +197,20 @@ def _l1_prefixes(fs: FrequencySet, ns: Sequence[int], cfg: McConfig) -> list[Nor
     ]
 
 
-def l1_auto(fs: FrequencySet, tol: float, seed: int | Callable[[], int] = 0) -> NormEstimate:
+def l1_auto(fs: FrequencySet, tol: float | Callable[[], float], seed: int | Callable[[], int] = 0) -> NormEstimate:
     """Quadrature up to quadrature.MAX_HARMONIC, else Monte Carlo sized to tol.
 
     The Monte Carlo branch targets std_error <= tol/3 on the (unnormalized)
-    value, with the sample count sized from a pilot run. seed may be a
-    callable that returns it; only the Monte Carlo branch calls it, so a
-    caller that records its inputs records a seed only when one was used.
+    value, with the sample count sized from a pilot run. tol and seed may
+    each be a callable that returns it; only the Monte Carlo branch calls
+    them, so a caller that records its inputs records only those used. A
+    tol that is not positive raises ValueError, on either branch if given
+    as a number.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if fs.k_max > MAX_HARMONIC or not callable(tol):
+        tol = tol() if callable(tol) else tol
+        if not tol > 0:
+            raise ValueError(f"tol must be positive, got {tol!r}")
     if fs.k_max <= MAX_HARMONIC:
         return lp_norm_quadrature(fs, 1)
     seed = seed() if callable(seed) else seed

@@ -8,7 +8,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 @dataclass
@@ -29,7 +29,9 @@ def config_hash(config: dict) -> str:
 
 
 def utc_stamp() -> str:
-    return time.strftime("%Y%m%dT%H%M%S", time.gmtime()) + f".{int(time.time_ns() % 1_000_000_000):09d}"
+    """UTC time to the nanosecond, seconds and fraction from one clock read."""
+    seconds, nanos = divmod(time.time_ns(), 1_000_000_000)
+    return time.strftime("%Y%m%dT%H%M%S", time.gmtime(seconds)) + f".{nanos:09d}"
 
 
 def write_record(runs_dir, record: RunRecord) -> Path:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, SearchSpaceTooLarge
 from .frequency import FrequencySet, lacunary_set, make_frequency_set
-from .norms import McConfig, _l1_prefixes, lp_norm_quadrature
+from .norms import McConfig, NormEstimate, _l1_prefixes, lp_norm_quadrature
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0
 
@@ -38,7 +38,7 @@ class SearchResult:
     best_value: float       # normalized L1 of best_set
     method: str             # "exhaustive" | "anneal"
     evaluations: int
-    value_error: float      # quadrature/MC uncertainty of best_value
+    value_error: float      # quadrature error_bound of best_set / sqrt(n)
     seed: Optional[int] = None
 
 
@@ -60,12 +60,6 @@ def canonicalize(fs: FrequencySet) -> FrequencySet:
     return make_frequency_set([1] + [1 + d // g for d in diffs])
 
 
-def _normalized_l1(fs: FrequencySet) -> float:
-    est = lp_norm_quadrature(fs, 1)
-    assert est.normalized is not None
-    return est.normalized
-
-
 def _canonical_candidates(n: int, max_freq: int):
     if n == 1:
         yield make_frequency_set([1])
@@ -79,9 +73,9 @@ def exhaustive_sigma(n: int, max_freq: int) -> SearchResult:
     """Enumerate every canonical n-set with entries <= max_freq and keep the maximizer.
 
     Each candidate is measured once with the L1 quadrature rule, and
-    best_value is that measurement. Ties break toward the lexicographically
-    smallest set. value_error is a fixed, conservative 1e-8; the rule's
-    measured accuracy on small sets is ~2e-15.
+    best_value and value_error are that measurement. Ties break toward the
+    lexicographically smallest set. value_error covers only the panels the
+    rule accepted at its depth limit; the others are accurate to ~2e-15.
     """
     if n < 1 or max_freq < n:
         raise DomainError("need n >= 1 and max_freq >= n")
@@ -89,24 +83,23 @@ def exhaustive_sigma(n: int, max_freq: int) -> SearchResult:
         raise SearchSpaceTooLarge(
             f"up to {comb(max_freq - 1, n - 1)} candidate sets (guard {MAX_EXHAUSTIVE_CANDIDATES})"
         )
-    best_set = None
-    best_value = -math.inf
+    best_set = best = None
     evaluations = 0
     for fs in _canonical_candidates(n, max_freq):
-        value = _normalized_l1(fs)
+        est = lp_norm_quadrature(fs, 1)
         evaluations += 1
         # candidates arrive in lexicographic order, so a strict improvement
         # test keeps the lexicographically smallest maximizer on ties
-        if value > best_value + 1e-12:
-            best_set, best_value = fs, value
-    assert best_set is not None
+        if best is None or est.normalized > best.normalized + 1e-12:
+            best_set, best = fs, est
+    assert best is not None
     return SearchResult(
         n=n,
         best_set=best_set,
-        best_value=best_value,
+        best_value=best.normalized,
         method="exhaustive",
         evaluations=evaluations,
-        value_error=1e-8,
+        value_error=best.error_bound / math.sqrt(n),
     )
 
 
@@ -115,9 +108,9 @@ def anneal_sigma(n: int, max_freq: int, budget: int, seed: int) -> SearchResult:
 
     Every distinct candidate is scored once with the L1 quadrature rule and
     cached. The result is the cached set with the largest score, ties going
-    to the lexicographically smallest set; best_value is its score, and
-    evaluations counts the distinct sets scored. value_error is the fixed
-    1e-8 of exhaustive_sigma.
+    to the lexicographically smallest set; best_value and value_error are
+    its measurement, as in exhaustive_sigma, and evaluations counts the
+    distinct sets scored.
     """
     if budget < 1:
         raise DomainError("budget must be >= 1")
@@ -130,12 +123,12 @@ def anneal_sigma(n: int, max_freq: int, budget: int, seed: int) -> SearchResult:
         )
 
     rg = np.random.default_rng(seed)
-    cache: dict[tuple, float] = {}
+    cache: dict[tuple, NormEstimate] = {}
 
     def score(fs: FrequencySet) -> float:
         if fs.freqs not in cache:
-            cache[fs.freqs] = _normalized_l1(fs)
-        return cache[fs.freqs]
+            cache[fs.freqs] = lp_norm_quadrature(fs, 1)
+        return cache[fs.freqs].normalized
 
     def random_set() -> FrequencySet:
         vals = 1 + rg.choice(max_freq, size=n, replace=False)
@@ -161,14 +154,14 @@ def anneal_sigma(n: int, max_freq: int, budget: int, seed: int) -> SearchResult:
             current, current_value = proposal, value
         temperature *= cooling
 
-    best_freqs, best_value = min(cache.items(), key=lambda kv: (-kv[1], kv[0]))
+    best_freqs, best = min(cache.items(), key=lambda kv: (-kv[1].normalized, kv[0]))
     return SearchResult(
         n=n,
         best_set=FrequencySet(best_freqs),
-        best_value=best_value,
+        best_value=best.normalized,
         method="anneal",
         evaluations=len(cache),
-        value_error=1e-8,
+        value_error=best.error_bound / math.sqrt(n),
         seed=seed,
     )
 

@@ -6,6 +6,8 @@ there. Exponential sums are evaluated from exact integer phases with libm
 cos and sin.
 """
 
+import math
+
 import numpy as np
 
 
@@ -30,3 +32,33 @@ def midpoint_l1(fs, m=2_000_000):
     """Midpoint rule for the mean of |S| on m cells, at theta_i = (2i+1)/(2m)."""
     odd = 2 * np.arange(m, dtype=np.int64) + 1
     return float(np.mean(np.abs(exact_phase_sum(fs.freqs, odd, 2 * m))))
+
+
+def abs_cos_sum_mean(terms, cuts):
+    """Mean over [0, 1] of |sum a cos(pi w t)| for terms [(a, w), ...], w > 0.
+
+    cuts must include every sign change in (0, 1); between them the sum keeps
+    its sign, so the mean is a sum of exact antiderivative differences.
+    """
+    def anti(t):
+        return sum(a * math.sin(math.pi * w * t) / (math.pi * w) for a, w in terms)
+
+    edges = (0.0, *cuts, 1.0)
+    return sum(abs(anti(b) - anti(a)) for a, b in zip(edges, edges[1:]))
+
+
+def l1_1_2_6_7():
+    """||S||_1 for {1,2,6,7}: S = z(1+z)(1+z^5), |S| = 4|cos(pi t) cos(5 pi t)| = 2|cos 4 pi t + cos 6 pi t|.
+
+    Double zero at 1/2, simple zeros at 1/10, 3/10, 7/10, 9/10.
+    """
+    return abs_cos_sum_mean([(2.0, 4), (2.0, 6)], (0.1, 0.3, 0.5, 0.7, 0.9))
+
+
+def l1_1_2_4_5_6_7_9_10():
+    """||S||_1 for {1,2,4,5,6,7,9,10}: |S| = 2|cos pi t + cos 3 pi t + cos 7 pi t + cos 9 pi t|.
+
+    Triple zero at 1/2; the other zeros are 1/10, 1/6, 3/10, 7/10, 5/6, 9/10.
+    """
+    return abs_cos_sum_mean([(2.0, 1), (2.0, 3), (2.0, 7), (2.0, 9)],
+                            (1 / 10, 1 / 6, 3 / 10, 1 / 2, 7 / 10, 5 / 6, 9 / 10))

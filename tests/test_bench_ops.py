@@ -2,8 +2,10 @@
 
 The timed bench runs these ops and counts an op that raises or fails its
 check as a failure; running them here shows such a failure with the unit
-tests. The multiple-zero probes and the CLI ops start child processes and
-are left to the bench itself. bench/ is only read: no bytecode is written there.
+tests. The multiple-zero probes, which the bench runs in child processes
+killed at a deadline, run here in-process; the CLI ops start child
+processes and are left to the bench itself. bench/ is only read: no
+bytecode is written there.
 """
 
 import sys
@@ -28,3 +30,8 @@ def test_bench_op_passes_its_check(build, seed):
     assert ops
     for op in ops:
         assert op.check(op.run()) is None, op.name
+
+
+@pytest.mark.parametrize("op", workloads.probe_ops(), ids=lambda op: op.name)
+def test_bench_probe_passes_its_check(op):
+    assert op.check(op.run()) is None, op.name

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lacsum import count_quadruple_solutions, lacunary_set
+from lacsum import count_quadruple_solutions, lacunary_set, records
 from lacsum.cli import run
 from lacsum.records import load_record
 
@@ -270,6 +270,20 @@ def test_bad_integer_lists_are_usage_errors_naming_the_flag(tmp_path, capsys, fl
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "abc"])
+def test_bad_tol_is_a_usage_error_naming_the_flag(tmp_path, capsys, tol):
+    code = run(["--runs-dir", str(tmp_path / "runs"), "norms", "--freqs", "1,2,5", "--tol", tol])
+    assert code == 1
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_utc_stamp_reads_the_clock_once(monkeypatch):
+    # one nanosecond before a second boundary: seconds and fraction agree
+    monkeypatch.setattr(records.time, "time_ns", lambda: 1_700_000_000_999_999_999)
+    assert records.utc_stamp() == "20231114T221320.999999999"
+
+
 @pytest.mark.parametrize(
     "flag, args",
     [
@@ -378,13 +392,15 @@ def test_no_record_writes_nothing(tmp_path, capsys):
         ["search", "--n", "2", "--max-freq", "6"],
         ["norms", "--p", "4", "--lacunary", "8,5"],
         ["norms", "--freqs", "1,2,5"],  # --method auto takes quadrature here
+        ["norms", "--freqs", "1,2,5", "--tol", "{tol}"],  # and reads no tol
     ],
 )
 def test_unread_flags_stay_out_of_the_record(tmp_path, capsys, argv):
-    # no run reads a seed, so two runs without --seed record the same config
+    # no run reads a seed, so two runs without --seed record the same config;
+    # a {tol} placeholder takes a different --tol in each run
     hashes = []
-    for run_dir in ("a", "b"):
-        assert run(["--runs-dir", str(tmp_path / run_dir), *argv]) == 0
+    for run_dir, tol in (("a", "0.5"), ("b", "0.1")):
+        assert run(["--runs-dir", str(tmp_path / run_dir), *(x.format(tol=tol) for x in argv)]) == 0
         hashes.append(load_record(next((tmp_path / run_dir).iterdir())).input_hash)
     assert hashes[0] == hashes[1]
 

@@ -28,7 +28,7 @@ from lacsum.errors import BudgetExceeded, FrequencyTooLarge
 from lacsum.frequency import cos_double_sum_dyadic, sum_components_dyadic, sum_values
 from lacsum.norms import MAX_MC_SAMPLES, num_workers
 from lacsum.quadrature import MAX_HARMONIC, panel_count
-from oracles import midpoint_l1, periodic_mean
+from oracles import l1_1_2_4_5_6_7_9_10, l1_1_2_6_7, midpoint_l1, periodic_mean
 
 
 def test_l1_singleton_is_one():
@@ -101,6 +101,34 @@ def test_l1_quadrature_memory_is_block_sized():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**21
+
+
+@pytest.mark.parametrize(
+    "freqs, oracle",
+    [([1, 2, 6, 7], l1_1_2_6_7), ([1, 2, 4, 5, 6, 7, 9, 10], l1_1_2_4_5_6_7_9_10)],
+    ids=["double-zero", "triple-zero"],
+)
+def test_l1_multiple_zeros_within_the_reported_bound(freqs, oracle):
+    # a double zero of S at 1/2 for {1,2,6,7}, a triple one for the 8-set:
+    # panels there stay suspect down to the depth limit and are accepted
+    # with lipschitz * width^2 each, which error_bound sums
+    est = lp_norm_quadrature(make_frequency_set(freqs), p=1)
+    error = est.value - oracle()
+    assert abs(error) < 1e-12
+    assert 0 < est.error_bound
+    assert abs(error) <= est.error_bound + 1e-14
+
+
+def test_l1_double_zero_memory_stays_small():
+    # the suspect panels around a double zero grow as width^(-1/2); the depth
+    # limit keeps them near 10^4, where a 1e-13 width floor held millions
+    tracemalloc.start()
+    try:
+        lp_norm_quadrature(make_frequency_set([1, 2, 6, 7]), p=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
 
 
 def test_l2_and_l4_are_exact_for_64_bit_lacunary_sets():

@@ -64,6 +64,16 @@ def test_exhaustive_three_frequencies_regression():
     assert r.best_value == lp_norm_quadrature(r.best_set, 1).normalized
 
 
+def test_exhaustive_four_frequencies_regression():
+    # many 4-sets with entries <= 14 have a double zero of S, where the L1 rule
+    # stops at its depth limit; value_error is the best set's bound over sqrt(n)
+    r = exhaustive_sigma(4, 14)
+    assert r.best_set.freqs == (1, 2, 5, 7)
+    assert abs(r.best_value - 0.9287453236029001) < 1e-12
+    assert math.isfinite(r.value_error) and r.value_error >= 0.0
+    assert r.value_error == lp_norm_quadrature(r.best_set, 1).error_bound / 2
+
+
 def test_exhaustive_monotone_in_max_freq():
     small = exhaustive_sigma(3, 8)
     large = exhaustive_sigma(3, 12)
