@@ -78,8 +78,8 @@ def num_workers() -> int:
     return workers
 
 
-def _map_chunks(fn: Callable[[int], np.ndarray], layout) -> list:
-    """Apply fn to every (chunk, count) pair; output order follows chunk index."""
+def _map_chunks(fn: Callable, layout: Sequence) -> list:
+    """Apply fn to every item of layout on num_workers() threads; output order follows layout."""
     workers = num_workers()
     if workers == 1 or len(layout) <= 1:
         return [fn(item) for item in layout]

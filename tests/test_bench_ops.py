@@ -4,8 +4,9 @@ The timed bench runs these ops and counts an op that raises or fails its
 check as a failure; running them here shows such a failure with the unit
 tests. The multiple-zero probes, which the bench runs in child processes
 killed at a deadline, run here in-process; the CLI ops start child
-processes and are left to the bench itself. bench/ is only read: no
-bytecode is written there.
+processes and are left to the bench itself. The same ops run once more
+under the bench's span tracer, as `--trace 1` runs them. bench/ is only
+read: no bytecode is written there.
 """
 
 import sys
@@ -17,6 +18,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 _write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
 try:
+    import tracer  # noqa: E402
     import workloads  # noqa: E402
 finally:
     sys.dont_write_bytecode = _write_bytecode
@@ -35,3 +37,17 @@ def test_bench_op_passes_its_check(build, seed):
 @pytest.mark.parametrize("op", workloads.probe_ops(), ids=lambda op: op.name)
 def test_bench_probe_passes_its_check(op):
     assert op.check(op.run()) is None, op.name
+
+
+def test_ops_pass_their_checks_under_the_tracer():
+    ops = [op for build in (workloads.mc_l1_ops, workloads.clt_audit_ops, workloads.exact_ops)
+           for op in build(1, None)] + workloads.probe_ops()
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        failed = [op.name for op in ops if op.check(op.run()) is not None]
+    finally:
+        tr.uninstall()
+    assert failed == []
+    assert dict(tr.hook_errors) == {}
+    assert tr.spans

@@ -34,7 +34,7 @@ from lacsum import (
     w_remainder,
 )
 from lacsum import rng as lrng
-from lacsum.cltlab import _truncated_abs_mean
+from lacsum.cltlab import _phase_rows, _truncated_abs_mean
 from lacsum.errors import CapacityExceeded, DomainError
 from oracles import periodic_mean
 
@@ -223,7 +223,40 @@ def test_smoothing_bound_asymmetric():
     assert abs(smoothing_bound(inp) - expect) < 1e-12
 
 
+@pytest.mark.parametrize("sigma2", [math.nan, math.inf, -0.5])
+def test_gaussian_spec_rejects_non_finite_and_negative(sigma2):
+    with pytest.raises(DomainError, match="sigma2"):
+        GaussianSpec(sigma2)
+    with pytest.raises(DomainError, match="sigma2"):
+        gaussian_abs_mean(sigma2)
+
+
+@pytest.mark.parametrize("name", ["t1", "t2", "delta1", "delta2", "x", "y", "integral_term"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_smoothing_inputs_reject_non_finite_and_negative(name, bad):
+    fields = dict(t1=1.0, t2=1.0, delta1=1.0, delta2=1.0, x=1.0, y=1.0, integral_term=0.1)
+    with pytest.raises(DomainError, match=name):
+        SmoothingInputs(**{**fields, name: bad})
+
+
 # ------------------------------------------------------------ empirical CLT
+
+
+@pytest.mark.parametrize("axis", [[0.0, 0.5, 1.0, 2.0], [2.0**e for e in range(-6, 4)]])
+def test_phase_rows_within_a_few_ulp_of_exp(axis):
+    x = np.random.default_rng(5).normal(scale=2.0, size=4096)
+    rows = _phase_rows(axis, x)
+    for row, a in zip(rows, axis):
+        assert np.abs(row - np.exp(1j * a * x)).max() < 2e-15, a
+    if axis[0] == 0.0:
+        assert (rows[0] == 1.0).all()
+
+
+def test_phase_row_without_its_half_is_libm_cos_sin():
+    x = np.random.default_rng(6).normal(scale=2.0, size=4096)
+    rows = _phase_rows([0.3, 1.0], x)
+    for row, a in zip(rows, (0.3, 1.0)):
+        assert np.array_equal(row.real, np.cos(a * x)) and np.array_equal(row.imag, np.sin(a * x)), a
 
 
 def test_sample_mu_nu_deterministic():

@@ -183,6 +183,7 @@ def test_mc_deterministic_across_worker_counts():
                 convergence_study(8, [3, 10, 6], cfg),
                 markov_tail_fraction(fs, cfg),
                 empirical_char_fn(fs, [(0.5, 1.0), (-1.0, 0.5), (0.5, -2.0), (-0.5, -1.0)], cfg),
+                clt_report(fs, cfg, with_chain_audit=True),
             ))
     finally:
         if old is None:
@@ -231,6 +232,15 @@ def test_payload_bits_are_pinned():
     audit = report.chain_audit
     assert [(v.value.hex(), v.std_error.hex()) for v in (audit.e_abs_xz, audit.e_abs_xz_trunc)] == [
         ("0x1.788c757a860f0p+0", "0x1.7bc1568f551a6p-9"), ("0x1.754072ec66ca7p-2", "0x1.c02e2f2ed9912p-10")]
+    # schema 10: rows for |s|, |t| = 1 and 2 are squares of the 0.5 and 1 rows
+    assert (report.ks_mu.hex(), report.ks_nu.hex()) == ("0x1.702aeb2f6fa00p-9", "0x1.6e0431ed3c500p-8")
+    phi = {(p.s, p.t): (p.phi.real.hex(), p.phi.imag.hex(), p.std_error.hex()) for p in report.phi_grid}
+    assert [phi[st] for st in ((0.5, 0.5), (1.0, -2.0), (-2.0, 1.0), (2.0, 2.0))] == [
+        ("0x1.c34c192aaaeddp-1", "0x1.882dff92a93a7p-10", "0x1.d3f43316720bdp-10"),
+        ("0x1.1efa302bba4a9p-2", "-0x1.49f264886ef1dp-10", "0x1.db8d79a5518c8p-9"),
+        ("0x1.24d2cad191d3bp-2", "-0x1.80b2dcfbdd8aep-10", "0x1.dab7b5c3d8891p-9"),
+        ("0x1.03621efbdbcc4p-3", "-0x1.7fb5872f91498p-11", "0x1.eb6a833080d69p-9"),
+    ]
 
 
 def test_every_mc_statistic_draws_each_chunk_once(monkeypatch):
