@@ -19,10 +19,9 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 
-from . import cltlab, energy, norms, records, search
+from . import records
 from .errors import LacsumError
 from .frequency import lacunary_set, make_frequency_set, parse_freqs_file
-from .norms import McConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -152,6 +151,9 @@ def build_parser() -> _Parser:
 
 # ---------------------------------------------------------------------------
 # Pure executors: resolved config dict -> JSON payload (used by run and replay)
+#
+# Each executor imports the layer it calls, so a process loads only the
+# layers of its own subcommand.
 # ---------------------------------------------------------------------------
 
 def _exec_eval(config: dict):
@@ -163,12 +165,14 @@ def _exec_eval(config: dict):
 
 
 def _exec_norms(config: dict):
+    from . import norms
+
     fs = make_frequency_set(config["freqs"])
     method = config["method"]
     if method == "mc":
         if config["p"] != 1:
             raise LacsumError("monte-carlo estimation is implemented for p = 1")
-        est = norms.l1_monte_carlo(fs, McConfig(samples=config["samples"], seed=config["seed"]))
+        est = norms.l1_monte_carlo(fs, norms.McConfig(samples=config["samples"], seed=config["seed"]))
     elif method == "auto" and config["p"] == 1:
         est = norms.l1_auto(fs, lambda: config["tol"], seed=lambda: config["seed"])
     else:
@@ -177,17 +181,21 @@ def _exec_norms(config: dict):
 
 
 def _exec_energy(config: dict):
+    from . import energy
+
     fs = make_frequency_set(config["freqs"])
     cert = energy.holder_lower_bound(fs)
     return {"schema": 1, **asdict(cert)}
 
 
 def _exec_sidon(config: dict):
+    from . import energy
+
     fs = energy.mian_chowla(config["n"])
     return {"schema": 1, "n": fs.n, "freqs": list(fs.freqs)}
 
 
-def _phi_point_dict(pt: cltlab.CharFnPoint) -> dict:
+def _phi_point_dict(pt) -> dict:
     return {
         "s": pt.s,
         "t": pt.t,
@@ -199,6 +207,9 @@ def _phi_point_dict(pt: cltlab.CharFnPoint) -> dict:
 
 
 def _exec_clt(config: dict):
+    from . import cltlab
+    from .norms import McConfig
+
     fs = make_frequency_set(config["freqs"])
     report = cltlab.clt_report(
         fs,
@@ -213,6 +224,8 @@ def _exec_clt(config: dict):
 
 
 def _exec_search(config: dict):
+    from . import search
+
     if config["mode"] == "exhaustive":
         result = search.exhaustive_sigma(config["n"], config["max_freq"])
     else:
@@ -223,6 +236,9 @@ def _exec_search(config: dict):
 
 
 def _exec_study(config: dict):
+    from . import search
+    from .norms import McConfig
+
     rows = search.convergence_study(
         config["q"],
         config["n_list"],

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -30,6 +29,9 @@ from .frequency import FrequencySet
 from .quadrature import MAX_HARMONIC, integrate_abs_adaptive
 
 MAX_MC_SAMPLES = 10**10
+# One pass holds a task and a result per chunk. 2^18 is the least power of two
+# that admits the default chunk at MAX_MC_SAMPLES (152 588 chunks).
+MAX_CHUNKS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,12 @@ class McConfig:
             raise BudgetExceeded(f"{self.samples} samples exceed the cap MAX_MC_SAMPLES = {MAX_MC_SAMPLES}")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        chunks = -(-self.samples // self.chunk_size)
+        if chunks > MAX_CHUNKS:
+            raise BudgetExceeded(
+                f"{self.samples} samples in chunks of {self.chunk_size} make {chunks} chunks, "
+                f"over MAX_CHUNKS = {MAX_CHUNKS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -61,14 +69,20 @@ class NormEstimate:
 
 
 def num_workers() -> int:
-    """Worker threads for the chunked passes: LACSUM_THREADS if set, else the CPU count.
+    """Worker threads for the chunked passes: LACSUM_THREADS if set, else the usable cores.
+
+    The usable cores are those this process may run on (its CPU affinity),
+    or the CPU count where the platform cannot tell.
 
     An empty LACSUM_THREADS counts as unset; any other value that is not an
     integer >= 1 raises ValueError.
     """
     env = os.environ.get("LACSUM_THREADS", "")
     if not env.strip():
-        return os.cpu_count() or 1
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:
+            return os.cpu_count() or 1
     try:
         workers = int(env)
     except ValueError:
@@ -83,6 +97,8 @@ def _map_chunks(fn: Callable, layout: Sequence) -> list:
     workers = num_workers()
     if workers == 1 or len(layout) <= 1:
         return [fn(item) for item in layout]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, layout))
 

@@ -9,6 +9,8 @@ under the bench's span tracer, as `--trace 1` runs them. bench/ is only
 read: no bytecode is written there.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +53,25 @@ def test_ops_pass_their_checks_under_the_tracer():
     assert failed == []
     assert dict(tr.hook_errors) == {}
     assert tr.spans
+
+
+def test_tracer_leaves_the_package_namespace_as_it_found_it():
+    # in a fresh process the first read of each name comes while the tracer is installed;
+    # lacsum resolves it on the submodule, so it sees the wrapper and keeps no copy of it
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(BENCH)!r})\n"
+        "import lacsum, tracer\n"
+        "tr = tracer.Tracer()\n"
+        "tr.install()\n"
+        "traced = [lacsum.l1_monte_carlo, lacsum.clt_report]\n"
+        "tr.uninstall()\n"
+        "from lacsum import cltlab, norms\n"
+        "originals = [norms.l1_monte_carlo, cltlab.clt_report]\n"
+        "print([a is not b for a, b in zip(traced, originals)],"
+        " [a is b for a, b in zip([lacsum.l1_monte_carlo, lacsum.clt_report], originals)])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(BENCH.parent / "src")}
+    out = subprocess.run([sys.executable, "-B", "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[True, True] [True, True]"

@@ -26,13 +26,17 @@ def only_record_dir(tmp_path):
 
 
 def test_import_loads_numpy_only():
-    # importing the package and its CLI loads no installed package but numpy
+    # importing the package and every submodule loads no installed package but numpy;
+    # every one is imported because the namespace and the CLI load their layers lazily
     code = (
-        "import site, sys, sysconfig\n"
+        "import importlib, pkgutil, site, sys, sysconfig\n"
         "dirs = (*site.getsitepackages(), site.getusersitepackages(),"
         " *(sysconfig.get_paths()[k] for k in ('purelib', 'platlib')))\n"
         "before = set(sys.modules)\n"
-        "import lacsum, lacsum.cli\n"
+        "import lacsum\n"
+        "names = [m.name for m in pkgutil.iter_modules(lacsum.__path__)]\n"
+        "assert len(names) == 10, names\n"
+        "for name in names: importlib.import_module('lacsum.' + name)\n"
         "files = {m: getattr(sys.modules[m], '__file__', None) or '' for m in set(sys.modules) - before}\n"
         "print(sorted({m.split('.')[0] for m, f in files.items() if f.startswith(dirs)}))\n"
     )

@@ -26,7 +26,7 @@ from lacsum import rng
 from lacsum.energy import count_quadruple_solutions
 from lacsum.errors import BudgetExceeded, FrequencyTooLarge
 from lacsum.frequency import cos_double_sum_dyadic, sum_components_dyadic, sum_values
-from lacsum.norms import MAX_MC_SAMPLES, num_workers
+from lacsum.norms import MAX_CHUNKS, MAX_MC_SAMPLES, num_workers
 from lacsum.quadrature import MAX_HARMONIC, panel_count
 from oracles import l1_1_2_4_5_6_7_9_10, l1_1_2_6_7, midpoint_l1, periodic_mean
 
@@ -279,8 +279,19 @@ def test_num_workers_rejects_bad_thread_counts(monkeypatch, value):
 def test_num_workers_reads_thread_count(monkeypatch):
     monkeypatch.setenv("LACSUM_THREADS", " 3 ")
     assert num_workers() == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
     monkeypatch.setenv("LACSUM_THREADS", "")
-    assert num_workers() == (os.cpu_count() or 1)
+    assert num_workers() == 3
+
+
+def test_num_workers_defaults_to_the_usable_cores(monkeypatch):
+    # a process pinned to one core of many runs one worker, not one per core
+    monkeypatch.delenv("LACSUM_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert num_workers() == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # a platform without affinity
+    assert num_workers() == 64
 
 
 def test_mc_seed_sensitivity():
@@ -320,6 +331,16 @@ def test_mc_config_caps_samples():
     with pytest.raises(BudgetExceeded, match="MAX_MC_SAMPLES = 10000000000"):
         McConfig(samples=MAX_MC_SAMPLES + 1)
     assert McConfig(samples=MAX_MC_SAMPLES).samples == MAX_MC_SAMPLES
+
+
+def test_mc_config_caps_chunks():
+    # one chunk per sample would build 10^7 layout tuples and futures; refused at construction
+    with pytest.raises(BudgetExceeded, match=f"10000000 chunks, over MAX_CHUNKS = {MAX_CHUNKS}"):
+        McConfig(samples=10**7, chunk_size=1)
+    with pytest.raises(BudgetExceeded, match="MAX_CHUNKS"):
+        McConfig(samples=2 * MAX_CHUNKS + 1, chunk_size=2)
+    assert McConfig(samples=2 * MAX_CHUNKS, chunk_size=2).samples == 2 * MAX_CHUNKS
+    assert McConfig(samples=MAX_MC_SAMPLES).chunk_size == 1 << 16  # no default run is refused
 
 
 def test_fourth_moment_singleton():
