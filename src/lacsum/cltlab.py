@@ -26,7 +26,7 @@ from . import frequency as fq
 from . import rng
 from .errors import CapacityExceeded, DomainError
 from .frequency import FrequencySet
-from .norms import McConfig, _map_chunks, _mc_mean, _mean_and_error, _moment_sums
+from .norms import McConfig, _abs, _map_chunks, _mc_mean, _mean_and_error, _moment_sums
 
 DEFAULT_PHI_AXIS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -291,7 +291,7 @@ def _phase_rows(axis: list[float], x: np.ndarray) -> np.ndarray:
 
 
 def _chain_audit(mc: McConfig, chain: tuple, item: tuple, x: np.ndarray, y: np.ndarray) -> list:
-    """_moment_sums of |X+Z| and of |X+Z| truncated, for one chunk.
+    """_moment_sums of |X+Z| (norms._abs) and of |X+Z| truncated, for one chunk.
 
     X = (x, y) is the chunk's (mu, nu); its Z comes from its own stream.
     chain is (radius, sigma2_z). The Gaussian side of the chain has closed
@@ -299,7 +299,7 @@ def _chain_audit(mc: McConfig, chain: tuple, item: tuple, x: np.ndarray, y: np.n
     """
     radius, sigma2_z = chain
     z = rng.chunk_gaussian_pairs(mc.seed, rng.STREAM_Z, *item, math.sqrt(sigma2_z))
-    xz = np.hypot(x + z[:, 0], y + z[:, 1])
+    xz = _abs(x + z[:, 0], y + z[:, 1])
     return _moment_sums(xz, xz * (xz <= radius))
 
 
@@ -312,7 +312,8 @@ def _sample_pass(
 ) -> tuple[np.ndarray, list[CharFnPoint], Optional[np.ndarray], Optional[np.ndarray]]:
     """Every CLT statistic as one per-chunk sum vector, through the norms._mc_mean driver.
 
-    Each chunk returns one vector: the _moment_sums of |S|, mu, nu, mu nu
+    Each chunk returns one vector: the _moment_sums of |S| (norms._abs, as
+    in l1_monte_carlo), mu, nu, mu nu
     and, with chain, the _chain_audit sums; then A B^T and A conj(B)^T, where
     A and B hold e^{i|s| mu} and e^{i|t| nu} for the distinct |s| and |t| of
     the grid. Each per-sample quantity is summed as soon as it is made, so a
@@ -333,7 +334,7 @@ def _sample_pass(
     def sums(item, m):
         re, im = fq.sum_components_dyadic(fs, m)
         del m  # the draws are dead once S is evaluated; free them before the grid
-        moments = _moment_sums(np.hypot(re, im))
+        moments = _moment_sums(_abs(re, im))
         x, y = np.divide(im, rt, out=im), np.divide(re, rt, out=re)
         if keep_mu_nu:
             lo = item[0] * mc.chunk_size

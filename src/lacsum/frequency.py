@@ -167,12 +167,13 @@ _S3 = -(_S1**3) / 6.0
 _C2 = -(_S1**2) / 2.0
 _C4 = _S1**4 / 24.0
 
-# Points per block; the block's four complex work rows take 64 bytes per
-# point, 1 MB in all, and stay in a core's L2 cache. Each numpy call releases
-# the GIL only while it runs, so shorter blocks spend the time of a second
-# worker thread on passing the GIL back and forth, and longer ones raise the
-# peak memory of a threaded run.
-_BLOCK = 1 << 14
+# Points per block. Each numpy call holds the GIL for ~1.34 us of dispatch
+# around its loop, so with 2^14 points ~11% of every call is serial and a
+# second worker thread spends its time passing the GIL back and forth;
+# 2^15 halves the calls per point and frequency. The block's four complex
+# work rows take 64 bytes per point, 2 MB at 2^15, which fills a core's
+# 2 MB L2 cache; 2^16 spills it and measured no faster.
+_BLOCK = 1 << 15
 
 
 def _unit_roots(bits: int) -> np.ndarray:
@@ -194,6 +195,7 @@ def _unit_roots(bits: int) -> np.ndarray:
 
 
 _TABLE = _unit_roots(_TABLE_BITS)
+_TABLE_PARTS = _TABLE.view(np.float64).reshape(-1, 2)
 
 
 def _add_unit_roots(fs: FrequencySet, m: np.ndarray, factor: int, out: np.ndarray) -> None:
@@ -214,11 +216,12 @@ def _add_unit_roots(fs: FrequencySet, m: np.ndarray, factor: int, out: np.ndarra
         w, top = t.view(np.uint64)[:n], t.view(np.int64)[n:]
         top_u, x2 = top.view(np.uint64), w.view(np.float64)  # top < 2^B reads the same as int64
         x, poly = term.view(np.float64)[:n], term.view(np.float64)[n:]
+        term_parts, w_signed = term.view(np.float64).reshape(n, 2), w.view(np.int64)
         for mult in mults:
             np.multiply(m[lo : lo + n], mult, out=w)
             np.right_shift(w, _LOW_BITS, out=top_u)
             np.bitwise_and(w, _LOW_MASK, out=w)
-            x[...] = w  # < 2^51: exact
+            x[...] = w_signed  # < 2^51: exact, and int64 converts faster than uint64
             np.square(x, out=x2)
             np.multiply(x2, _S3, out=poly)
             poly += _S1
@@ -226,8 +229,10 @@ def _add_unit_roots(fs: FrequencySet, m: np.ndarray, factor: int, out: np.ndarra
             np.multiply(x2, _C4, out=poly)
             poly += _C2
             np.multiply(poly, x2, out=cos_r1)  # (cos r - 1) + 0i
-            # indices are in range; mode="clip" only spares numpy a copy of out
-            np.take(_TABLE, top, out=term, mode="clip")
+            # e^{ia} as (re, im) rows of floats: half the time of the complex
+            # gather. The indices are in range, so mode="wrap" never wraps; it
+            # spares numpy a copy of out and measured faster than "clip"
+            np.take(_TABLE_PARTS, top, axis=0, out=term_parts, mode="wrap")
             # e^{i(a + r)} = e^{ia} + (e^{ia} (cos r - 1) + e^{ia} i sin r): one
             # part of each factor is 0, so every product rounds once, fused
             # multiply-add or not. The correction is small, so only the last

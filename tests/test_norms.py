@@ -1,6 +1,8 @@
 import hashlib
 import math
 import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -26,7 +28,7 @@ from lacsum import rng
 from lacsum.energy import count_quadruple_solutions
 from lacsum.errors import BudgetExceeded, FrequencyTooLarge
 from lacsum.frequency import cos_double_sum_dyadic, sum_components_dyadic, sum_values
-from lacsum.norms import MAX_CHUNKS, MAX_MC_SAMPLES, num_workers
+from lacsum.norms import MAX_CHUNKS, MAX_MC_SAMPLES, _abs, _map_chunks, num_workers
 from lacsum.quadrature import MAX_HARMONIC, panel_count
 from oracles import l1_1_2_4_5_6_7_9_10, l1_1_2_6_7, midpoint_l1, periodic_mean
 
@@ -194,8 +196,10 @@ def test_mc_deterministic_across_worker_counts():
 
 
 def test_payload_bits_are_pinned():
-    # recorded before the kernel's bit-identical trims; a platform or change
-    # that moves the dyadic kernel or the Monte Carlo reduction shows here
+    # recorded before the kernel's bit-identical trims (the latest: 2^15-point
+    # blocks, a float gather of the table, an int64 conversion of the low
+    # bits); a platform or change that moves the dyadic kernel or the Monte
+    # Carlo reduction shows here
     est = l1_monte_carlo(lacunary_set(8, 16), McConfig(70_001, seed=3, chunk_size=8192))
     assert (est.value.hex(), est.std_error.hex()) == ("0x1.c6c5d5c52f2f6p+1", "0x1.c32ffeedbd493p-8")
     values = sum_values(make_frequency_set([1, 3, 2**16]), [-0.4142, 0.001, 0.1, 0.3333, 12.875])
@@ -228,10 +232,13 @@ def test_payload_bits_are_pinned():
     assert (row.normalized_l1.hex(), row.std_error.hex()) == ("0x1.cc7b52b23933ap-1", "0x1.b0f0da178b1cap-10")
     report = clt_report(lacunary_set(8, 16), mc, with_chain_audit=True)
     assert (report.radial_mean.hex(), report.radial_std_error.hex()) == ("0x1.c6c5d5c52f2f6p-1", "0x1.c32ffeedbd493p-10")
-    # the sampled side of the chain audit, recorded while Y was still sampled
+    # the sampled side of the chain audit, recorded while Y was still sampled;
+    # schema 11 takes |X+Z| as sqrt(re^2 + im^2) instead of hypot, which moved
+    # only these two standard errors, by 1 and 3 ulp: the |S| moments above
+    # read the same bits either way
     audit = report.chain_audit
     assert [(v.value.hex(), v.std_error.hex()) for v in (audit.e_abs_xz, audit.e_abs_xz_trunc)] == [
-        ("0x1.788c757a860f0p+0", "0x1.7bc1568f551a6p-9"), ("0x1.754072ec66ca7p-2", "0x1.c02e2f2ed9912p-10")]
+        ("0x1.788c757a860f0p+0", "0x1.7bc1568f551a3p-9"), ("0x1.754072ec66ca7p-2", "0x1.c02e2f2ed9913p-10")]
     # schema 10: rows for |s|, |t| = 1 and 2 are squares of the 0.5 and 1 rows
     assert (report.ks_mu.hex(), report.ks_nu.hex()) == ("0x1.702aeb2f6fa00p-9", "0x1.6e0431ed3c500p-8")
     phi = {(p.s, p.t): (p.phi.real.hex(), p.phi.imag.hex(), p.std_error.hex()) for p in report.phi_grid}
@@ -267,6 +274,55 @@ def test_every_mc_statistic_draws_each_chunk_once(monkeypatch):
         draws.clear()
         statistic()
         assert sorted(draws) == expected
+
+
+def test_abs_of_s_takes_no_libm_hypot(monkeypatch):
+    # |S| and |X+Z| use IEEE ops only, so their bits cannot follow the libm
+    m = np.random.default_rng(11).integers(0, 1 << 63, size=1 << 16, dtype=np.uint64)
+    re, im = sum_components_dyadic(lacunary_set(8, 16), m)
+    hypot = np.hypot(re, im)
+    assert np.all(np.abs(_abs(re, im) - hypot) <= np.spacing(hypot))
+
+    def no_hypot(*args, **kwargs):
+        raise AssertionError("np.hypot called")
+
+    monkeypatch.setattr(np, "hypot", no_hypot)
+    mc = McConfig(samples=3000, seed=4, chunk_size=1000)
+    l1_monte_carlo(lacunary_set(8, 6), mc)
+    convergence_study(8, [2, 6], mc)
+    clt_report(lacunary_set(8, 6), mc, with_chain_audit=True)
+
+
+def test_map_chunks_keeps_a_bounded_window_of_futures(monkeypatch):
+    # a pass of many small chunks holds a few futures at a time, not one per
+    # chunk, and still returns the results in layout order
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setenv("LACSUM_THREADS", "2")
+    original = ThreadPoolExecutor.submit
+    unfinished, peak, lock = set(), [0], threading.Lock()
+
+    def finished(future):
+        with lock:
+            unfinished.discard(future)
+
+    def submit(self, fn, *args, **kwargs):
+        future = original(self, fn, *args, **kwargs)
+        with lock:
+            unfinished.add(future)
+            peak[0] = max(peak[0], len(unfinished))
+        future.add_done_callback(finished)
+        return future
+
+    def chunk(item):
+        if item == 0:
+            time.sleep(0.05)  # the other worker runs ahead while the first chunk is collected
+        return item
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+    assert _map_chunks(chunk, range(200)) == list(range(200))
+    # 2 x workers ahead of the one being collected
+    assert 1 < peak[0] <= 2 * 2 + 1
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
