@@ -198,14 +198,20 @@ _TABLE = _unit_roots(_TABLE_BITS)
 _TABLE_PARTS = _TABLE.view(np.float64).reshape(-1, 2)
 
 
-def _add_unit_roots(fs: FrequencySet, m: np.ndarray, factor: int, out: np.ndarray) -> None:
+def _multipliers(fs: FrequencySet, factor: int) -> list:
+    """factor k mod 2^64 for each k of fs, as uint64 scalars for _add_unit_roots."""
+    return [np.uint64(factor * k % 2**64) for k in fs]
+
+
+def _add_unit_roots(mults, m: np.ndarray, out: np.ndarray) -> None:
     """out += sum_k e^{2 pi i w_k / 2^64}, out complex128 and shaped like m.
 
-    w_k = (factor k mod 2^64) m wraps in uint64. m is split into _BLOCK-point
-    blocks that share one work buffer; within a block the frequencies are
-    added in order, as a per-frequency loop over all of m would.
+    w_k = mult_k m wraps in uint64. Each multiplier is a uint64 scalar, the
+    same at every point, or a uint64 array shaped like m, one per point. m
+    is split into _BLOCK-point blocks that share one work buffer; within a
+    block the frequencies are added in order, as a per-frequency loop over
+    all of m would.
     """
-    mults = [np.uint64(factor * k % 2**64) for k in fs]
     rows = np.empty((4, min(_BLOCK, m.size)), dtype=np.complex128)
     rows[1] = 0  # i sin r: only its imaginary part is ever written
     for lo in range(0, m.size, _BLOCK):
@@ -218,7 +224,7 @@ def _add_unit_roots(fs: FrequencySet, m: np.ndarray, factor: int, out: np.ndarra
         x, poly = term.view(np.float64)[:n], term.view(np.float64)[n:]
         term_parts, w_signed = term.view(np.float64).reshape(n, 2), w.view(np.int64)
         for mult in mults:
-            np.multiply(m[lo : lo + n], mult, out=w)
+            np.multiply(m[lo : lo + n], mult if mult.ndim == 0 else mult[lo : lo + n], out=w)
             np.right_shift(w, _LOW_BITS, out=top_u)
             np.bitwise_and(w, _LOW_MASK, out=w)
             x[...] = w_signed  # < 2^51: exact, and int64 converts faster than uint64
@@ -259,14 +265,14 @@ def sum_components_dyadic(
         out = np.zeros(m.shape, dtype=np.complex128)
     elif out.dtype != np.complex128 or out.shape != m.shape or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous complex128 array shaped like m")
-    _add_unit_roots(fs, m.reshape(-1), 2, out.reshape(-1))
+    _add_unit_roots(_multipliers(fs, 2), m.reshape(-1), out.reshape(-1))
     return out.real, out.imag
 
 
 def cos_double_sum_dyadic(fs: FrequencySet, m: np.ndarray) -> np.ndarray:
     """sum_j cos(4 pi k_j theta) at theta = m/2^63 (the doubled-frequency cosine sum)."""
     out = np.zeros(m.shape, dtype=np.complex128)
-    _add_unit_roots(fs, m.reshape(-1), 4, out.reshape(-1))
+    _add_unit_roots(_multipliers(fs, 4), m.reshape(-1), out.reshape(-1))
     return out.real
 
 
@@ -278,10 +284,28 @@ def sum_values(fs: FrequencySet, thetas) -> np.ndarray:
     2^-64, so its phase k theta by less than k 2^-64 turns. The dyadic kernel
     then takes every phase k m mod 2^64 exactly.
     """
+    return sum_values_rows(_multipliers(fs, 1), thetas)
+
+
+def sum_values_rows(rows, thetas) -> np.ndarray:
+    """Each point's own S(theta): sum_j e^{2 pi i k_j theta} with k_j = rows[j] at that point.
+
+    rows holds one entry per frequency: a uint64 scalar, the same at every
+    point, or a 1-d uint64 array of one value per point, in the flat order
+    of thetas. Many sets of one size are
+    evaluated in one kernel pass this way, each point bit for bit as
+    sum_values of its own set, which is this with scalar rows.
+    """
     th = np.asarray(thetas, dtype=np.float64)
-    frac = np.mod(th, 1.0).reshape(-1)
+    shape, th = th.shape, th.reshape(-1)
+    # theta - floor(theta) is np.mod(theta, 1.0) bit for bit: both round the
+    # exact fraction once. np.mod goes through libm fmod at ~20 ns a point.
+    frac = np.floor(th)
+    np.subtract(th, frac, out=frac)
     np.ldexp(frac, 64, out=frac)
     frac[frac == 2.0**64] = 0.0  # a tiny negative theta rounds to 1 mod 1
-    out = np.zeros(frac.size, dtype=np.complex128)
-    _add_unit_roots(fs, frac.astype(np.uint64), 1, out)
-    return out.reshape(th.shape)
+    m = frac.astype(np.uint64)
+    del frac
+    out = np.zeros(m.size, dtype=np.complex128)
+    _add_unit_roots(rows, m, out)
+    return out.reshape(shape)

@@ -20,7 +20,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import rng
 from .energy import _pair_sum_energy, count_quadruple_solutions
 from .errors import BudgetExceeded
 from .frequency import FrequencySet
-from .quadrature import MAX_HARMONIC, integrate_abs_adaptive
+from .quadrature import GROUP_PANELS, MAX_HARMONIC, integrate_abs_adaptive, integrate_abs_many, panel_count
 
 MAX_MC_SAMPLES = 10**10
 # One pass holds a task and a result per chunk. 2^18 is the least power of two
@@ -197,8 +197,16 @@ def lp_norm_quadrature(fs: FrequencySet, p: int) -> NormEstimate:
     if p != 1:
         value = math.sqrt(fs.n) if p == 2 else count_quadruple_solutions(fs) ** 0.25
         return NormEstimate(p=p, value=value, normalized=None, std_error=None, method="exact", n=fs.n)
-    lip = 2.0 * math.pi * sum(fs.freqs)  # |S'| bound
-    value, bound = integrate_abs_adaptive(lambda th: np.abs(fq.sum_values(fs, th)), lip, fs.k_max)
+    value, bound = integrate_abs_adaptive(lambda th: np.abs(fq.sum_values(fs, th)), _lipschitz(fs), fs.k_max)
+    return _l1_quadrature_estimate(fs, value, bound)
+
+
+def _lipschitz(fs: FrequencySet) -> float:
+    """2 pi sum k, a bound on |S'|."""
+    return 2.0 * math.pi * sum(fs.freqs)
+
+
+def _l1_quadrature_estimate(fs: FrequencySet, value: float, bound: float) -> NormEstimate:
     return NormEstimate(
         p=1,
         value=value,
@@ -208,6 +216,40 @@ def lp_norm_quadrature(fs: FrequencySet, p: int) -> NormEstimate:
         n=fs.n,
         error_bound=bound,
     )
+
+
+def l1_quadrature_many(sets: Iterable[FrequencySet]) -> Iterator[tuple[FrequencySet, NormEstimate]]:
+    """(fs, lp_norm_quadrature(fs, 1)) for each set, in order and bit for bit, in shared kernel passes.
+
+    Consecutive sets of one size go to quadrature.integrate_abs_many in
+    groups of at most quadrature.GROUP_PANELS first-level panels, so each
+    level of the rule evaluates |S| for every set of the group in one call.
+    A set with more panels than that goes alone, in the rule's blocks.
+    sets may be a lazy stream: a group is measured once it is full.
+    """
+    group, panels = [], 0
+    for fs in sets:
+        count = panel_count(fs.k_max)
+        if group and (panels + count > GROUP_PANELS or fs.n != group[0].n):
+            yield from _l1_group(group)
+            group, panels = [], 0
+        group.append(fs)
+        panels += count
+    if group:
+        yield from _l1_group(group)
+
+
+def _l1_group(group: list[FrequencySet]) -> Iterator[tuple[FrequencySet, NormEstimate]]:
+    columns = np.array([fs.freqs for fs in group], dtype=np.uint64).T
+
+    def absfn(nodes, owners, counts):
+        # an owner alone in its level takes scalar multipliers, as sum_values does
+        rows = columns[:, owners[0]] if len(owners) == 1 else [np.repeat(k[owners], counts) for k in columns]
+        return np.abs(fq.sum_values_rows(rows, nodes))
+
+    results = integrate_abs_many(absfn, [_lipschitz(fs) for fs in group], [fs.k_max for fs in group])
+    for fs, (value, bound) in zip(group, results):
+        yield fs, _l1_quadrature_estimate(fs, value, bound)
 
 
 def l1_monte_carlo(fs: FrequencySet, cfg: McConfig) -> NormEstimate:

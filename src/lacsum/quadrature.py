@@ -1,7 +1,9 @@
 """Adaptive composite Gauss-Legendre quadrature of |S| on [0,1].
 
 There is one rule: 8-point Gauss-Legendre on 8 first-level panels per unit
-of the highest harmonic k_max (64 nodes per period). |S| has kinks at the
+of the highest harmonic k_max (64 nodes per period). It refines many
+integrands at once, level by level, each level in one integrand call;
+integrate_abs_adaptive is the rule with one. |S| has kinks at the
 zeros of S, so any panel that might contain a zero is bisected, to a fixed
 depth. A coarser first level saves nothing: at one panel per harmonic,
 lipschitz * width >= 2 pi > n >= max |S| for n <= 6, so every panel fails
@@ -15,7 +17,7 @@ no quadrature: they are exact (see norms.lp_norm_quadrature).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,9 +35,18 @@ _PANELS_PER_HARMONIC = 8
 # depth relative to the first level, not an absolute width, bounds it.
 _MAX_DEPTH = 20
 
-# First-level panels refined together, to bound peak memory: 2^17 panels are
-# 2^20 nodes, and the rule on |S| for {1, 3, 2^17} peaks at 70 MB of arrays.
+# First-level panels of one integrand refined together, to bound peak memory:
+# 2^17 panels are 2^20 nodes, and the rule on |S| for {1, 3, 2^17} peaks at
+# 70 MB of arrays.
 _BLOCK_PANELS = 1 << 17
+
+# Panels of many integrands refined together: callers of integrate_abs_many
+# pass at most this many first-level panels, and a deeper level above it is
+# split between its owners, so several double zeros (~10^4 panels each at
+# depth) are not refined in one level. 2^12 panels are 2^15 nodes, the
+# kernel's block; exhaustive_sigma(4, 14) and (5, 16) ran 25-40% slower at
+# 2^14, where the arrays of a level no longer stay in cache.
+GROUP_PANELS = 1 << 12
 
 
 def panel_count(max_harmonic: int) -> int:
@@ -55,30 +66,108 @@ def integrate_abs_adaptive(
 ) -> tuple[float, float]:
     """(integral, bound) of a nonnegative lipschitz-Lipschitz function with kinks at its zeros.
 
+    The rule of integrate_abs_many with one owner: its first level goes in
+    blocks of _BLOCK_PANELS panels, each refined before the next is evaluated.
+    """
+    return integrate_abs_many(lambda nodes, owners, counts: absfn(nodes), [lipschitz], [max_harmonic])[0]
+
+
+def integrate_abs_many(
+    absfn: Callable[[np.ndarray, list, list], np.ndarray],
+    lipschitz: Sequence[float],
+    max_harmonics: Sequence[int],
+) -> list[tuple[float, float]]:
+    """(integral, bound) for each of many owners, as integrate_abs_adaptive gives it alone.
+
+    Owner o is a nonnegative lipschitz[o]-Lipschitz function with kinks at
+    its zeros and highest harmonic max_harmonics[o]. absfn(nodes, owners,
+    counts) returns the values at nodes, which come in runs: counts[i]
+    consecutive nodes of owner owners[i], owners ascending.
+
     A panel is accepted once its node minimum exceeds lipschitz * width
     (so the panel cannot reach zero), else bisected; at depth _MAX_DEPTH it
     is accepted anyway, within lipschitz * width^2, and bound sums those.
     Panels that passed the kink test are not in bound: the rule is accurate
-    to <= 2.2e-15 on every closed form tested. The first level goes in
-    blocks of _BLOCK_PANELS panels, each refined before the next is evaluated.
+    to <= 2.2e-15 on every closed form tested.
+
+    Every owner's first level goes in one level, so callers pass at most
+    GROUP_PANELS first-level panels; one owner alone goes in blocks of
+    _BLOCK_PANELS. A deeper level above GROUP_PANELS is split between its
+    owners, never within one. An owner's panels are weighed, summed and
+    counted apart from the others', in the order it would see alone, so
+    its result does not depend on its company, bit for bit.
     """
-    npanels = panel_count(max_harmonic)
-    total = bound = 0.0
-    for start in range(0, npanels, _BLOCK_PANELS):
-        lefts = np.arange(start, min(start + _BLOCK_PANELS, npanels), dtype=np.float64) / npanels
-        width = 1.0 / npanels
-        for depth in range(_MAX_DEPTH + 1):
-            nodes = (lefts[:, None] + width * _X01[None, :]).ravel()
-            vals = absfn(nodes).reshape(-1, 8)
-            integ = width * (vals @ _W01)
-            suspect = vals.min(axis=1) < lipschitz * width
-            if depth == _MAX_DEPTH:
-                bound += np.count_nonzero(suspect) * lipschitz * width * width
-                suspect[:] = False
-            total += float(integ[~suspect].sum())
-            if not suspect.any():
-                break
+    lips = [float(lip) for lip in lipschitz]
+    npanels = [panel_count(k) for k in max_harmonics]
+    totals, bounds = [0.0] * len(npanels), [0.0] * len(npanels)
+
+    def refine(lefts, owners, counts):
+        # lefts holds counts[i] consecutive panels of owners[i], of width
+        # widths[i]; levels run depth first, so the pending ones hold no more
+        # panels than the one split
+        pending = [(lefts, owners, counts, [1.0 / npanels[o] for o in owners], 0)]
+        while pending:
+            lefts, owners, counts, widths, depth = pending.pop()
+            nodes = (lefts[:, None] + np.multiply.outer(_per_panel(widths, counts), _X01)).ravel()
+            vals = absfn(nodes, owners, [8 * c for c in counts]).reshape(-1, 8)
+            suspect = _panel_min(vals) < _per_panel([lips[o] * w for o, w in zip(owners, widths)], counts)
+            next_owners, kept, halves, hi = [], [], [], 0
+            for o, w, c in zip(owners, widths, counts):
+                lo, hi = hi, hi + c
+                # each owner's own slice through matmul and sum: their results
+                # depend on the array's length (BLAS tails, pairwise summation)
+                integ = w * (vals[lo:hi] @ _W01)
+                part = suspect[lo:hi]
+                if depth == _MAX_DEPTH:
+                    bounds[o] += np.count_nonzero(part) * lips[o] * w * w
+                    part[:] = False
+                totals[o] += float(integ[~part].sum())
+                k = np.count_nonzero(part)
+                if k:
+                    next_owners.append(o)
+                    kept.append(k)
+                    halves.append(w / 2.0)
+            del nodes, vals
+            if not next_owners:
+                continue
             lefts = np.repeat(lefts[suspect], 2)
-            width /= 2.0
-            lefts[1::2] += width
-    return total, bound
+            lefts[1::2] += _per_panel(halves, kept)
+            pending += reversed(_split(lefts, next_owners, [2 * k for k in kept], halves, depth + 1))
+
+    if len(npanels) == 1:
+        for start in range(0, npanels[0], _BLOCK_PANELS):
+            lefts = np.arange(start, min(start + _BLOCK_PANELS, npanels[0]), dtype=np.float64) / npanels[0]
+            refine(lefts, [0], [lefts.size])
+    else:
+        refine(np.concatenate([np.arange(c, dtype=np.float64) / c for c in npanels]), list(range(len(npanels))), npanels)
+    return list(zip(totals, bounds))
+
+
+def _per_panel(values: list, counts: list):
+    """One value per owner as one per panel; a single owner's value stays a scalar, which broadcasts."""
+    return values[0] if len(values) == 1 else np.repeat(values, counts)
+
+
+def _panel_min(vals: np.ndarray) -> np.ndarray:
+    """vals.min(axis=1) for 8 nodes a panel, in three pairwise halvings of the flat array.
+
+    A minimum is exact, so the order does not matter; numpy's reduction
+    along a short last axis costs ~80 ns a panel, this ~6.
+    """
+    m = vals.reshape(-1)
+    for _ in range(3):
+        m = np.minimum(m[0::2], m[1::2])
+    return m
+
+
+def _split(lefts, owners, counts, widths, depth) -> list:
+    """The level as runs of consecutive owners of at most GROUP_PANELS panels each, one owner alone if larger."""
+    if len(lefts) <= GROUP_PANELS:
+        return [(lefts, owners, counts, widths, depth)]
+    parts, first, start, end = [], 0, 0, 0
+    for i, c in enumerate(counts + [0]):
+        if i == len(counts) or (i > first and end + c - start > GROUP_PANELS):
+            parts.append((lefts[start:end], owners[first:i], counts[first:i], widths[first:i], depth))
+            first, start = i, end
+        end += c
+    return parts

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, SearchSpaceTooLarge
 from .frequency import FrequencySet, lacunary_set, make_frequency_set
-from .norms import McConfig, NormEstimate, _l1_prefixes, lp_norm_quadrature
+from .norms import McConfig, NormEstimate, _l1_prefixes, l1_quadrature_many, lp_norm_quadrature
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0
 
@@ -76,6 +76,8 @@ def exhaustive_sigma(n: int, max_freq: int) -> SearchResult:
     best_value and value_error are that measurement. Ties break toward the
     lexicographically smallest set. value_error covers only the panels the
     rule accepted at its depth limit; the others are accurate to ~2e-15.
+    The candidates stream through norms.l1_quadrature_many, which measures
+    them in groups, each bit for bit as lp_norm_quadrature would.
     """
     if n < 1 or max_freq < n:
         raise DomainError("need n >= 1 and max_freq >= n")
@@ -85,8 +87,7 @@ def exhaustive_sigma(n: int, max_freq: int) -> SearchResult:
         )
     best_set = best = None
     evaluations = 0
-    for fs in _canonical_candidates(n, max_freq):
-        est = lp_norm_quadrature(fs, 1)
+    for fs, est in l1_quadrature_many(_canonical_candidates(n, max_freq)):
         evaluations += 1
         # candidates arrive in lexicographic order, so a strict improvement
         # test keeps the lexicographically smallest maximizer on ties
@@ -107,10 +108,11 @@ def anneal_sigma(n: int, max_freq: int, budget: int, seed: int) -> SearchResult:
     """Simulated annealing over canonical sets; geometric cooling, seeded moves.
 
     Every distinct candidate is scored once with the L1 quadrature rule and
-    cached. The result is the cached set with the largest score, ties going
-    to the lexicographically smallest set; best_value and value_error are
-    its measurement, as in exhaustive_sigma, and evaluations counts the
-    distinct sets scored.
+    cached; the initial random sample is scored in one batch. The result is
+    the cached set with the largest score, ties going to the
+    lexicographically smallest set; best_value and value_error are its
+    measurement, as in exhaustive_sigma, and evaluations counts the distinct
+    sets scored.
     """
     if budget < 1:
         raise DomainError("budget must be >= 1")
@@ -134,8 +136,12 @@ def anneal_sigma(n: int, max_freq: int, budget: int, seed: int) -> SearchResult:
         vals = 1 + rg.choice(max_freq, size=n, replace=False)
         return canonicalize(make_frequency_set(vals.tolist()))
 
-    # initial temperature from the spread over a small random sample
-    probe = [score(random_set()) for _ in range(min(100, budget))]
+    # initial temperature from the spread over a small random sample, drawn
+    # first and then scored in one batch (scoring draws nothing)
+    sample = [random_set() for _ in range(min(100, budget))]
+    distinct = {fs.freqs: fs for fs in sample}.values()
+    cache.update((fs.freqs, est) for fs, est in l1_quadrature_many(distinct))
+    probe = [score(fs) for fs in sample]
     temperature = max(float(np.std(probe)), 1e-4)
     cooling = (1e-3) ** (1.0 / max(budget, 2))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from lacsum import (
     make_frequency_set,
 )
 from lacsum.errors import DomainError, SearchSpaceTooLarge
+from lacsum.norms import l1_quadrature_many
+from lacsum.search import _canonical_candidates
 
 
 def test_limit_constant():
@@ -70,8 +73,61 @@ def test_exhaustive_four_frequencies_regression():
     r = exhaustive_sigma(4, 14)
     assert r.best_set.freqs == (1, 2, 5, 7)
     assert abs(r.best_value - 0.9287453236029001) < 1e-12
+    assert r.best_value.hex() == "0x1.db8481ce5ff1fp-1"
     assert math.isfinite(r.value_error) and r.value_error >= 0.0
     assert r.value_error == lp_norm_quadrature(r.best_set, 1).error_bound / 2
+
+
+@pytest.mark.parametrize("n, max_freq", [(3, 12), (4, 8)])
+def test_batched_l1_is_lp_norm_quadrature_bit_for_bit(n, max_freq):
+    # the search measures its candidates in groups; each value and bound is
+    # still the one-set rule's, and (4, 8) holds {1,2,6,7} with its double zero
+    candidates = list(_canonical_candidates(n, max_freq))
+    batched = list(l1_quadrature_many(candidates))
+    assert [fs for fs, _ in batched] == candidates
+    for fs, est in batched:
+        alone = lp_norm_quadrature(fs, 1)
+        assert (est.value, est.error_bound, est.normalized) == (alone.value, alone.error_bound, alone.normalized)
+    # a mixed stream: sizes change and a set too large to group goes alone
+    mixed = [make_frequency_set(f) for f in ([1, 2], [2, 5], [1, 3, 2**10], [1, 2, 6, 7], [1, 3, 5, 6], [3, 4])]
+    for fs, est in l1_quadrature_many(mixed):
+        alone = lp_norm_quadrature(fs, 1)
+        assert (est.value, est.error_bound) == (alone.value, alone.error_bound)
+
+
+@pytest.mark.parametrize(
+    "n, max_freq, best_set, best_hex",
+    [
+        (3, 24, (1, 2, 4), "0x1.d8ed9e5a73f6dp-1"),
+        (5, 16, (1, 3, 8, 9, 12), "0x1.dea415fcdb57cp-1"),
+    ],
+)
+def test_exhaustive_best_values_are_pinned(n, max_freq, best_set, best_hex):
+    r = exhaustive_sigma(n, max_freq)
+    assert r.best_set.freqs == best_set
+    assert r.best_value.hex() == best_hex
+
+
+def test_anneal_result_is_pinned():
+    # the initial sample is scored in one batch; the seeded stream and the
+    # count of distinct sets scored are as when each was scored alone
+    r = anneal_sigma(4, 20, 300, 5)
+    assert r.best_set.freqs == (1, 3, 6, 7)
+    assert r.best_value.hex() == "0x1.db8481ce5ff1fp-1"
+    assert r.evaluations == 205
+
+
+def test_exhaustive_memory_stays_small():
+    # several candidates of (4, 14) have a double zero, whose suspect panels
+    # reach ~10^4 per set at depth; a level holding many of them is split
+    # between its sets, so the peak stays near that of one set alone
+    tracemalloc.start()
+    try:
+        exhaustive_sigma(4, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_exhaustive_monotone_in_max_freq():
