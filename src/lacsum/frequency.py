@@ -14,6 +14,7 @@ scalar libm reference.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -198,9 +199,14 @@ _TABLE = _unit_roots(_TABLE_BITS)
 _TABLE_PARTS = _TABLE.view(np.float64).reshape(-1, 2)
 
 
-def _multipliers(fs: FrequencySet, factor: int) -> list:
-    """factor k mod 2^64 for each k of fs, as uint64 scalars for _add_unit_roots."""
-    return [np.uint64(factor * k % 2**64) for k in fs]
+@functools.lru_cache(maxsize=256)
+def _multipliers(freqs: tuple, factor: int) -> tuple:
+    """factor k mod 2^64 for each k of freqs, as uint64 scalars for _add_unit_roots.
+
+    Cached: the L1 rule evaluates one set once a level, ~21 times for a
+    simple zero, and each scalar takes ~0.3 us to make.
+    """
+    return tuple(np.uint64(factor * k % 2**64) for k in freqs)
 
 
 def _add_unit_roots(mults, m: np.ndarray, out: np.ndarray) -> None:
@@ -265,14 +271,14 @@ def sum_components_dyadic(
         out = np.zeros(m.shape, dtype=np.complex128)
     elif out.dtype != np.complex128 or out.shape != m.shape or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous complex128 array shaped like m")
-    _add_unit_roots(_multipliers(fs, 2), m.reshape(-1), out.reshape(-1))
+    _add_unit_roots(_multipliers(fs.freqs, 2), m.reshape(-1), out.reshape(-1))
     return out.real, out.imag
 
 
 def cos_double_sum_dyadic(fs: FrequencySet, m: np.ndarray) -> np.ndarray:
     """sum_j cos(4 pi k_j theta) at theta = m/2^63 (the doubled-frequency cosine sum)."""
     out = np.zeros(m.shape, dtype=np.complex128)
-    _add_unit_roots(_multipliers(fs, 4), m.reshape(-1), out.reshape(-1))
+    _add_unit_roots(_multipliers(fs.freqs, 4), m.reshape(-1), out.reshape(-1))
     return out.real
 
 
@@ -284,7 +290,7 @@ def sum_values(fs: FrequencySet, thetas) -> np.ndarray:
     2^-64, so its phase k theta by less than k 2^-64 turns. The dyadic kernel
     then takes every phase k m mod 2^64 exactly.
     """
-    return sum_values_rows(_multipliers(fs, 1), thetas)
+    return sum_values_rows(_multipliers(fs.freqs, 1), thetas)
 
 
 def sum_values_rows(rows, thetas) -> np.ndarray:
@@ -292,7 +298,7 @@ def sum_values_rows(rows, thetas) -> np.ndarray:
 
     rows holds one entry per frequency: a uint64 scalar, the same at every
     point, or a 1-d uint64 array of one value per point, in the flat order
-    of thetas. Many sets of one size are
+    of thetas (the rows of a 2-d array do). Many sets of one size are
     evaluated in one kernel pass this way, each point bit for bit as
     sum_values of its own set, which is this with scalar rows.
     """

@@ -222,10 +222,10 @@ def l1_quadrature_many(sets: Iterable[FrequencySet]) -> Iterator[tuple[Frequency
     """(fs, lp_norm_quadrature(fs, 1)) for each set, in order and bit for bit, in shared kernel passes.
 
     Consecutive sets of one size go to quadrature.integrate_abs_many in
-    groups of at most quadrature.GROUP_PANELS first-level panels, so each
-    level of the rule evaluates |S| for every set of the group in one call.
-    A set with more panels than that goes alone, in the rule's blocks.
-    sets may be a lazy stream: a group is measured once it is full.
+    groups, so each level of the rule evaluates |S| for the sets of a group
+    in one call. sets may be a lazy stream: a group is measured once it
+    holds quadrature.GROUP_PANELS first-level panels, the most the rule
+    refines together.
     """
     group, panels = [], 0
     for fs in sets:
@@ -243,8 +243,14 @@ def _l1_group(group: list[FrequencySet]) -> Iterator[tuple[FrequencySet, NormEst
     columns = np.array([fs.freqs for fs in group], dtype=np.uint64).T
 
     def absfn(nodes, owners, counts):
-        # an owner alone in its level takes scalar multipliers, as sum_values does
-        rows = columns[:, owners[0]] if len(owners) == 1 else [np.repeat(k[owners], counts) for k in columns]
+        # a set alone in its level takes its frequencies as scalars, as
+        # sum_values does: per-point rows take 8 bytes a node per frequency,
+        # and a multiple zero refines alone at ~10^5 panels ({1,2,4,5,6,7,9,10}
+        # peaks at 152 MB of arrays with rows, 53 MB without)
+        if len(owners) == 1:
+            rows = columns[:, owners[0]]
+        else:
+            rows = np.repeat(columns[:, owners], np.multiply(counts, 8), axis=1)
         return np.abs(fq.sum_values_rows(rows, nodes))
 
     results = integrate_abs_many(absfn, [_lipschitz(fs) for fs in group], [fs.k_max for fs in group])

@@ -40,13 +40,15 @@ _MAX_DEPTH = 20
 # 70 MB of arrays.
 _BLOCK_PANELS = 1 << 17
 
-# Panels of many integrands refined together: callers of integrate_abs_many
-# pass at most this many first-level panels, and a deeper level above it is
-# split between its owners, so several double zeros (~10^4 panels each at
-# depth) are not refined in one level. 2^12 panels are 2^15 nodes, the
-# kernel's block; exhaustive_sigma(4, 14) and (5, 16) ran 25-40% slower at
-# 2^14, where the arrays of a level no longer stay in cache.
+# Panels of many integrands refined together: a level above this many is
+# split between its owners (never within one), so several double zeros
+# (~10^4 panels each at depth) are not refined in one level. 2^12 panels are
+# 2^15 nodes, the kernel's block; exhaustive_sigma(4, 14) and (5, 16) ran
+# 25-40% slower at 2^14, where the arrays of a level no longer stay in cache.
 GROUP_PANELS = 1 << 12
+
+# Offsets of a panel's two halves, in half widths.
+_HALVES = np.array([0.0, 1.0])
 
 
 def panel_count(max_harmonic: int) -> int:
@@ -81,8 +83,8 @@ def integrate_abs_many(
 
     Owner o is a nonnegative lipschitz[o]-Lipschitz function with kinks at
     its zeros and highest harmonic max_harmonics[o]. absfn(nodes, owners,
-    counts) returns the values at nodes, which come in runs: counts[i]
-    consecutive nodes of owner owners[i], owners ascending.
+    counts) returns the values at nodes, which come 8 a panel in runs:
+    counts[i] consecutive panels of owner owners[i], owners ascending.
 
     A panel is accepted once its node minimum exceeds lipschitz * width
     (so the panel cannot reach zero), else bisected; at depth _MAX_DEPTH it
@@ -90,84 +92,96 @@ def integrate_abs_many(
     Panels that passed the kink test are not in bound: the rule is accurate
     to <= 2.2e-15 on every closed form tested.
 
-    Every owner's first level goes in one level, so callers pass at most
-    GROUP_PANELS first-level panels; one owner alone goes in blocks of
-    _BLOCK_PANELS. A deeper level above GROUP_PANELS is split between its
-    owners, never within one. An owner's panels are weighed, summed and
-    counted apart from the others', in the order it would see alone, so
-    its result does not depend on its company, bit for bit.
+    No level holds more than GROUP_PANELS panels of several owners: the
+    first level goes in each owner's blocks of _BLOCK_PANELS panels, packed
+    into runs of consecutive blocks within GROUP_PANELS (a larger block
+    alone), and a deeper level above GROUP_PANELS is split between its
+    owners, never within one. Each run is refined depth first before the
+    next is evaluated. An owner's panels are weighed, summed and counted apart from
+    the others', in the order it would see alone, so its result does not
+    depend on its company, bit for bit.
     """
     lips = [float(lip) for lip in lipschitz]
     npanels = [panel_count(k) for k in max_harmonics]
     totals, bounds = [0.0] * len(npanels), [0.0] * len(npanels)
-
-    def refine(lefts, owners, counts):
-        # lefts holds counts[i] consecutive panels of owners[i], of width
-        # widths[i]; levels run depth first, so the pending ones hold no more
-        # panels than the one split
-        pending = [(lefts, owners, counts, [1.0 / npanels[o] for o in owners], 0)]
+    for first in _first_levels(npanels, lips):
+        # a level holds counts[i] consecutive panels of owners[i], of width
+        # widths[i] and kink threshold lip_widths[i] = lips[owners[i]] *
+        # widths[i]; depth first, the pending levels hold no more panels
+        # than the one split
+        pending = [first]
         while pending:
-            lefts, owners, counts, widths, depth = pending.pop()
-            nodes = (lefts[:, None] + np.multiply.outer(_per_panel(widths, counts), _X01)).ravel()
-            vals = absfn(nodes, owners, [8 * c for c in counts]).reshape(-1, 8)
-            suspect = _panel_min(vals) < _per_panel([lips[o] * w for o, w in zip(owners, widths)], counts)
-            next_owners, kept, halves, hi = [], [], [], 0
-            for o, w, c in zip(owners, widths, counts):
+            lefts, owners, counts, widths, lip_widths, depth = pending.pop()
+            nodes = (lefts[:, None] + _per_panel(widths, counts) * _X01).ravel()
+            vals = absfn(nodes, owners, counts).reshape(-1, 8)
+            del nodes
+            # the kink test: some node of the panel is below its threshold; a
+            # panel's 8 comparisons are the 8 bytes of one uint64
+            suspect = (vals < _per_panel(lip_widths, counts)).view(np.uint64)[:, 0] != 0
+            next_owners, kept, halves, lip_halves, hi = [], [], [], [], 0
+            for o, w, lw, c in zip(owners, widths, lip_widths, counts):
                 lo, hi = hi, hi + c
-                # each owner's own slice through matmul and sum: their results
-                # depend on the array's length (BLAS tails, pairwise summation)
-                integ = w * (vals[lo:hi] @ _W01)
                 part = suspect[lo:hi]
                 if depth == _MAX_DEPTH:
                     bounds[o] += np.count_nonzero(part) * lips[o] * w * w
                     part[:] = False
-                totals[o] += float(integ[~part].sum())
+                # each owner's own slice through matmul and sum: their results
+                # depend on the array's length (BLAS tails, pairwise summation)
+                totals[o] += float((w * (vals[lo:hi] @ _W01))[~part].sum())
                 k = np.count_nonzero(part)
                 if k:
                     next_owners.append(o)
                     kept.append(k)
                     halves.append(w / 2.0)
-            del nodes, vals
-            if not next_owners:
-                continue
-            lefts = np.repeat(lefts[suspect], 2)
-            lefts[1::2] += _per_panel(halves, kept)
-            pending += reversed(_split(lefts, next_owners, [2 * k for k in kept], halves, depth + 1))
-
-    if len(npanels) == 1:
-        for start in range(0, npanels[0], _BLOCK_PANELS):
-            lefts = np.arange(start, min(start + _BLOCK_PANELS, npanels[0]), dtype=np.float64) / npanels[0]
-            refine(lefts, [0], [lefts.size])
-    else:
-        refine(np.concatenate([np.arange(c, dtype=np.float64) / c for c in npanels]), list(range(len(npanels))), npanels)
+                    lip_halves.append(lw / 2.0)  # lip * (w / 2): halving is exact
+            del vals  # freed before the next level is evaluated
+            if next_owners:
+                lefts = (lefts[suspect][:, None] + _per_panel(halves, kept) * _HALVES).ravel()
+                level = (lefts, next_owners, [2 * k for k in kept], halves, lip_halves, depth + 1)
+                if lefts.size > GROUP_PANELS:
+                    pending += reversed(_split(*level))
+                else:
+                    pending.append(level)
     return list(zip(totals, bounds))
 
 
+def _first_levels(npanels: list, lips: list):
+    """The first level as (lefts, owners, counts, widths, lip_widths, 0): each owner's panels in
+    blocks of _BLOCK_PANELS, consecutive blocks in _runs."""
+    blocks = [
+        (o, start, min(start + _BLOCK_PANELS, count))
+        for o, count in enumerate(npanels)
+        for start in range(0, count, _BLOCK_PANELS)
+    ]
+    for a, b in _runs([end - start for _, start, end in blocks]):
+        lefts = [np.arange(start, end, dtype=np.float64) / npanels[o] for o, start, end in blocks[a:b]]
+        owners = [o for o, _, _ in blocks[a:b]]
+        widths = [1.0 / npanels[o] for o in owners]
+        counts = [end - start for _, start, end in blocks[a:b]]
+        yield np.concatenate(lefts), owners, counts, widths, [lips[o] * w for o, w in zip(owners, widths)], 0
+
+
+def _split(lefts, owners, counts, widths, lip_widths, depth) -> list:
+    """The level as its _runs, one level each."""
+    starts = np.cumsum([0] + counts).tolist()
+    return [
+        (lefts[starts[a] : starts[b]], owners[a:b], counts[a:b], widths[a:b], lip_widths[a:b], depth)
+        for a, b in _runs(counts)
+    ]
+
+
+def _runs(counts: list):
+    """(a, b) index ranges of consecutive counts that sum to at most GROUP_PANELS, a larger count alone."""
+    a = size = 0
+    for b, c in enumerate(counts):
+        if b > a and size + c > GROUP_PANELS:
+            yield a, b
+            a, size = b, 0
+        size += c
+    if counts:
+        yield a, len(counts)
+
+
 def _per_panel(values: list, counts: list):
-    """One value per owner as one per panel; a single owner's value stays a scalar, which broadcasts."""
-    return values[0] if len(values) == 1 else np.repeat(values, counts)
-
-
-def _panel_min(vals: np.ndarray) -> np.ndarray:
-    """vals.min(axis=1) for 8 nodes a panel, in three pairwise halvings of the flat array.
-
-    A minimum is exact, so the order does not matter; numpy's reduction
-    along a short last axis costs ~80 ns a panel, this ~6.
-    """
-    m = vals.reshape(-1)
-    for _ in range(3):
-        m = np.minimum(m[0::2], m[1::2])
-    return m
-
-
-def _split(lefts, owners, counts, widths, depth) -> list:
-    """The level as runs of consecutive owners of at most GROUP_PANELS panels each, one owner alone if larger."""
-    if len(lefts) <= GROUP_PANELS:
-        return [(lefts, owners, counts, widths, depth)]
-    parts, first, start, end = [], 0, 0, 0
-    for i, c in enumerate(counts + [0]):
-        if i == len(counts) or (i > first and end + c - start > GROUP_PANELS):
-            parts.append((lefts[start:end], owners[first:i], counts[first:i], widths[first:i], depth))
-            first, start = i, end
-        end += c
-    return parts
+    """One value per owner as a column of one per panel; a single owner's value stays a scalar, which broadcasts."""
+    return values[0] if len(values) == 1 else np.repeat(values, counts)[:, None]

@@ -24,7 +24,7 @@ from lacsum import (
     mian_chowla,
     sample_mu_nu,
 )
-from lacsum import rng
+from lacsum import quadrature, rng
 from lacsum.energy import count_quadruple_solutions
 from lacsum.errors import BudgetExceeded, FrequencyTooLarge
 from lacsum.frequency import cos_double_sum_dyadic, sum_components_dyadic, sum_values
@@ -103,6 +103,32 @@ def test_l1_quadrature_memory_is_block_sized():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**21
+
+
+def test_many_owner_levels_stay_within_their_budget():
+    # a direct call: 200 small owners with simple zeros (~5 600 first-level
+    # panels) around two owners of 2^18 panels each. A level of several
+    # owners holds at most GROUP_PANELS panels, none more than _BLOCK_PANELS,
+    # and every owner gets what it gets alone, bit for bit
+    ks = [1 + o % 6 for o in range(100)] + [2**15, 2**15 + 1] + [1 + o % 5 for o in range(100)]
+
+    def f(k, th):
+        # 2|cos(pi k th)| has k simple zeros; 2 + cos(2 pi k th) has none
+        return 2.0 + np.cos(2 * np.pi * k * th) if k > 6 else 2.0 * np.abs(np.cos(np.pi * k * th))
+
+    levels = []
+
+    def absfn(nodes, owners, counts):
+        levels.append((len(owners), nodes.size // 8))
+        runs = np.split(nodes, np.cumsum(np.multiply(counts, 8))[:-1])
+        return np.concatenate([f(ks[o], th) for o, th in zip(owners, runs)])
+
+    lips = [2 * np.pi * k for k in ks]
+    results = quadrature.integrate_abs_many(absfn, lips, ks)
+    assert max(panels for _, panels in levels) == quadrature._BLOCK_PANELS
+    assert all(panels <= quadrature.GROUP_PANELS for owners, panels in levels if owners > 1)
+    for k, lip, got in zip(ks, lips, results):
+        assert got == quadrature.integrate_abs_adaptive(lambda th: f(k, th), lip, k)
 
 
 @pytest.mark.parametrize(

@@ -130,6 +130,21 @@ def test_exhaustive_memory_stays_small():
     assert peak <= 16 * 2**20
 
 
+def test_batched_set_alone_peaks_as_lp_norm_quadrature():
+    # the double zero of {1,2,6,7} refines alone at depth; there the batched
+    # rule holds no more than the one-set rule, not a multiplier row per node
+    fs = make_frequency_set([1, 2, 6, 7])
+    peaks = []
+    for measure in (lambda: lp_norm_quadrature(fs, 1), lambda: list(l1_quadrature_many([fs]))):
+        tracemalloc.start()
+        try:
+            measure()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
 def test_exhaustive_monotone_in_max_freq():
     small = exhaustive_sigma(3, 8)
     large = exhaustive_sigma(3, 12)
