@@ -29,12 +29,18 @@ from . import rng
 from .energy import _pair_sum_energy, count_quadruple_solutions
 from .errors import BudgetExceeded
 from .frequency import FrequencySet
-from .quadrature import GROUP_PANELS, MAX_HARMONIC, integrate_abs_adaptive, integrate_abs_many, panel_count
+from .quadrature import MAX_HARMONIC, abs_rule, integrate_abs_adaptive
 
 MAX_MC_SAMPLES = 10**10
 # One pass holds a task and a result per chunk. 2^18 is the least power of two
 # that admits the default chunk at MAX_MC_SAMPLES (152 588 chunks).
 MAX_CHUNKS = 1 << 18
+
+# The most panels of several sets in one kernel call of l1_quadrature_many.
+# At 2^10 panels, 2^13 nodes, the kernel takes ~37 ns a node for 3
+# frequencies on a 2-vCPU Xeon, against ~49 ns at 2^15 nodes, where its work
+# rows leave the cache, and ~75 ns at 2^10 nodes, where its per-call cost shows.
+GROUP_PANELS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,7 @@ class NormEstimate:
     n: int
     seed: Optional[int] = None
     samples: Optional[int] = None
-    error_bound: Optional[float] = None  # quadrature only: see quadrature.integrate_abs_adaptive
+    error_bound: Optional[float] = None  # quadrature only: see quadrature.abs_rule
 
 
 def num_workers() -> int:
@@ -221,41 +227,56 @@ def _l1_quadrature_estimate(fs: FrequencySet, value: float, bound: float) -> Nor
 def l1_quadrature_many(sets: Iterable[FrequencySet]) -> Iterator[tuple[FrequencySet, NormEstimate]]:
     """(fs, lp_norm_quadrature(fs, 1)) for each set, in order and bit for bit, in shared kernel passes.
 
-    Consecutive sets of one size go to quadrature.integrate_abs_many in
-    groups, so each level of the rule evaluates |S| for the sets of a group
-    in one call. sets may be a lazy stream: a group is measured once it
-    holds quadrature.GROUP_PANELS first-level panels, the most the rule
-    refines together.
+    Each set runs its own quadrature.abs_rule, which sees only its own
+    values; this only pools the rules' kernel calls. sets may be a lazy
+    stream: a set is admitted while the nodes pending evaluation stay below
+    GROUP_PANELS * 8. The pending levels of consecutive sets of one size go
+    to one kernel call within that budget, each node taking its own set's
+    frequencies; a larger level goes alone, with scalar frequencies.
     """
-    group, panels = [], 0
-    for fs in sets:
-        count = panel_count(fs.k_max)
-        if group and (panels + count > GROUP_PANELS or fs.n != group[0].n):
-            yield from _l1_group(group)
-            group, panels = [], 0
-        group.append(fs)
-        panels += count
-    if group:
-        yield from _l1_group(group)
+    budget = GROUP_PANELS * 8
+    sets = iter(sets)
+    order = deque()  # [fs, estimate or None] per admitted set, in input order
+    pending = []     # (slot of order, rule, nodes) per set still refining, in input order
+    while True:
+        size = sum(nodes.size for _, _, nodes in pending)
+        while size < budget and (fs := next(sets, None)) is not None:
+            order.append(slot := [fs, None])
+            rule = abs_rule(_lipschitz(fs), fs.k_max)
+            pending.append((slot, rule, next(rule)))
+            size += pending[-1][2].size
+        if not pending:
+            return
+        # the first run of pending sets of one size within the budget, or the first set alone
+        run = total = 0
+        for slot, _, nodes in pending:
+            if run and (slot[0].n != pending[0][0][0].n or total + nodes.size > budget):
+                break
+            run, total = run + 1, total + nodes.size
+        vals = _pooled_abs([slot[0] for slot, _, _ in pending[:run]], [nodes for _, _, nodes in pending[:run]])
+        refining, at = [], 0
+        for slot, rule, nodes in pending[:run]:
+            at += nodes.size
+            try:
+                refining.append((slot, rule, rule.send(vals[at - nodes.size : at])))
+            except StopIteration as done:
+                slot[1] = _l1_quadrature_estimate(slot[0], *done.value)
+        pending[:run] = refining
+        del vals  # freed before the next level is evaluated
+        while order and order[0][1] is not None:
+            yield tuple(order.popleft())
 
 
-def _l1_group(group: list[FrequencySet]) -> Iterator[tuple[FrequencySet, NormEstimate]]:
-    columns = np.array([fs.freqs for fs in group], dtype=np.uint64).T
-
-    def absfn(nodes, owners, counts):
-        # a set alone in its level takes its frequencies as scalars, as
-        # sum_values does: per-point rows take 8 bytes a node per frequency,
-        # and a multiple zero refines alone at ~10^5 panels ({1,2,4,5,6,7,9,10}
-        # peaks at 152 MB of arrays with rows, 53 MB without)
-        if len(owners) == 1:
-            rows = columns[:, owners[0]]
-        else:
-            rows = np.repeat(columns[:, owners], np.multiply(counts, 8), axis=1)
-        return np.abs(fq.sum_values_rows(rows, nodes))
-
-    results = integrate_abs_many(absfn, [_lipschitz(fs) for fs in group], [fs.k_max for fs in group])
-    for fs, (value, bound) in zip(group, results):
-        yield fs, _l1_quadrature_estimate(fs, value, bound)
+def _pooled_abs(group: list[FrequencySet], levels: list[np.ndarray]) -> np.ndarray:
+    """|S| at each level's nodes for its own set, in one kernel call."""
+    if len(group) == 1:
+        # scalar frequencies, as sum_values takes them: a row per node would
+        # take 8 bytes a node per frequency, and a multiple zero refines alone
+        # at ~10^4 panels a level
+        return np.abs(fq.sum_values_rows(fq._multipliers(group[0].freqs, 1), levels[0]))
+    sizes = [nodes.size for nodes in levels]
+    rows = np.repeat(np.array([fs.freqs for fs in group], dtype=np.uint64).T, sizes, axis=1)
+    return np.abs(fq.sum_values_rows(rows, np.concatenate(levels)))
 
 
 def l1_monte_carlo(fs: FrequencySet, cfg: McConfig) -> NormEstimate:

@@ -76,8 +76,8 @@ def exhaustive_sigma(n: int, max_freq: int) -> SearchResult:
     best_value and value_error are that measurement. Ties break toward the
     lexicographically smallest set. value_error covers only the panels the
     rule accepted at its depth limit; the others are accurate to ~2e-15.
-    The candidates stream through norms.l1_quadrature_many, which measures
-    them in groups, each bit for bit as lp_norm_quadrature would.
+    The candidates stream through norms.l1_quadrature_many, which pools
+    the kernel calls of their one-set rules: each is lp_norm_quadrature's.
     """
     if n < 1 or max_freq < n:
         raise DomainError("need n >= 1 and max_freq >= n")
@@ -108,11 +108,11 @@ def anneal_sigma(n: int, max_freq: int, budget: int, seed: int) -> SearchResult:
     """Simulated annealing over canonical sets; geometric cooling, seeded moves.
 
     Every distinct candidate is scored once with the L1 quadrature rule and
-    cached; the initial random sample is scored in one batch. The result is
-    the cached set with the largest score, ties going to the
-    lexicographically smallest set; best_value and value_error are its
-    measurement, as in exhaustive_sigma, and evaluations counts the distinct
-    sets scored.
+    cached; the initial random sample goes through norms.l1_quadrature_many,
+    which pools the kernel calls of their rules. The result is the cached
+    set with the largest score, ties going to the lexicographically
+    smallest set; best_value and value_error are its measurement, as in
+    exhaustive_sigma, and evaluations counts the distinct sets scored.
     """
     if budget < 1:
         raise DomainError("budget must be >= 1")

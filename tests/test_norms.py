@@ -24,11 +24,11 @@ from lacsum import (
     mian_chowla,
     sample_mu_nu,
 )
-from lacsum import quadrature, rng
+from lacsum import frequency, quadrature, rng
 from lacsum.energy import count_quadruple_solutions
 from lacsum.errors import BudgetExceeded, FrequencyTooLarge
 from lacsum.frequency import cos_double_sum_dyadic, sum_components_dyadic, sum_values
-from lacsum.norms import MAX_CHUNKS, MAX_MC_SAMPLES, _abs, _map_chunks, num_workers
+from lacsum.norms import GROUP_PANELS, MAX_CHUNKS, MAX_MC_SAMPLES, _abs, _map_chunks, l1_quadrature_many, num_workers
 from lacsum.quadrature import MAX_HARMONIC, panel_count
 from oracles import l1_1_2_4_5_6_7_9_10, l1_1_2_6_7, midpoint_l1, periodic_mean
 
@@ -105,30 +105,37 @@ def test_l1_quadrature_memory_is_block_sized():
     assert peak < 48 * 2**21
 
 
-def test_many_owner_levels_stay_within_their_budget():
-    # a direct call: 200 small owners with simple zeros (~5 600 first-level
-    # panels) around two owners of 2^18 panels each. A level of several
-    # owners holds at most GROUP_PANELS panels, none more than _BLOCK_PANELS,
-    # and every owner gets what it gets alone, bit for bit
-    ks = [1 + o % 6 for o in range(100)] + [2**15, 2**15 + 1] + [1 + o % 5 for o in range(100)]
+def test_many_owner_levels_stay_within_their_budget(monkeypatch):
+    # 200 two-sets {1, 1 + k}, |S| = 2|cos(pi k theta)| with k simple zeros,
+    # around two sets whose first level spans two blocks of _BLOCK_PANELS
+    # panels. A kernel call of several sets (per-point frequency rows) holds
+    # at most GROUP_PANELS * 8 nodes, a larger level goes alone (scalar
+    # frequencies), and every set gets what it gets alone, bit for bit
+    sets = (
+        [make_frequency_set([1, 2 + o % 6]) for o in range(100)]
+        + [make_frequency_set([1, 3, 2**14 + 1]), make_frequency_set([1, 5, 2**14 + 1])]
+        + [make_frequency_set([1, 2 + o % 5]) for o in range(100)]
+    )
+    calls = []
+    kernel = frequency.sum_values_rows
 
-    def f(k, th):
-        # 2|cos(pi k th)| has k simple zeros; 2 + cos(2 pi k th) has none
-        return 2.0 + np.cos(2 * np.pi * k * th) if k > 6 else 2.0 * np.abs(np.cos(np.pi * k * th))
+    def recorded(rows, thetas):
+        calls.append((isinstance(rows, np.ndarray), thetas.size))
+        return kernel(rows, thetas)
 
-    levels = []
+    monkeypatch.setattr(frequency, "sum_values_rows", recorded)
+    results = list(l1_quadrature_many(sets))
+    monkeypatch.undo()
+    assert max(size for _, size in calls) == 8 * quadrature._BLOCK_PANELS
+    assert all(size <= 8 * GROUP_PANELS for pooled, size in calls if pooled)
+    assert any(pooled for pooled, _ in calls)
+    assert [fs for fs, _ in results] == sets
 
-    def absfn(nodes, owners, counts):
-        levels.append((len(owners), nodes.size // 8))
-        runs = np.split(nodes, np.cumsum(np.multiply(counts, 8))[:-1])
-        return np.concatenate([f(ks[o], th) for o, th in zip(owners, runs)])
+    def alone(fs):
+        return quadrature.integrate_abs_adaptive(lambda th: np.abs(sum_values(fs, th)), 2 * np.pi * sum(fs), fs.k_max)
 
-    lips = [2 * np.pi * k for k in ks]
-    results = quadrature.integrate_abs_many(absfn, lips, ks)
-    assert max(panels for _, panels in levels) == quadrature._BLOCK_PANELS
-    assert all(panels <= quadrature.GROUP_PANELS for owners, panels in levels if owners > 1)
-    for k, lip, got in zip(ks, lips, results):
-        assert got == quadrature.integrate_abs_adaptive(lambda th: f(k, th), lip, k)
+    for fs, est in results:
+        assert (est.value, est.error_bound) == alone(fs)
 
 
 @pytest.mark.parametrize(
