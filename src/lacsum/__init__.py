@@ -51,6 +51,7 @@ _API = {
     ),
     "frequency": (
         "FrequencySet",
+        "canonicalize",
         "evaluate_sum",
         "lacunary_set",
         "make_frequency_set",
@@ -71,7 +72,6 @@ _API = {
         "SearchResult",
         "StudyRow",
         "anneal_sigma",
-        "canonicalize",
         "convergence_study",
         "exhaustive_sigma",
     ),

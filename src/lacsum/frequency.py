@@ -98,6 +98,19 @@ def lacunary_set(q: int, n: int) -> FrequencySet:
     return FrequencySet(tuple(q**j for j in range(1, n + 1)))
 
 
+def canonicalize(fs: FrequencySet) -> FrequencySet:
+    """Shift the minimum to 1, then divide the differences by their gcd; fs itself if already so.
+
+    |S| at theta of a*k + b is |S| at a*theta of k, so every L^p norm is
+    the canonical set's.
+    """
+    base = fs.freqs[0]
+    g = math.gcd(*(k - base for k in fs.freqs[1:]))  # 0 for a singleton
+    if base == 1 and g <= 1:
+        return fs
+    return FrequencySet(tuple(1 + (k - base) // (g or 1) for k in fs.freqs))
+
+
 def parse_freqs_file(path) -> FrequencySet:
     """One positive integer per line; '#' starts a comment."""
     values = []

@@ -27,8 +27,8 @@ import numpy as np
 from . import frequency as fq
 from . import rng
 from .energy import _pair_sum_energy, count_quadruple_solutions
-from .errors import BudgetExceeded
-from .frequency import FrequencySet
+from .errors import BudgetExceeded, FrequencyTooLarge
+from .frequency import FrequencySet, canonicalize
 from .quadrature import MAX_HARMONIC, abs_rule, integrate_abs_adaptive
 
 MAX_MC_SAMPLES = 10**10
@@ -193,18 +193,33 @@ def lp_norm_quadrature(fs: FrequencySet, p: int) -> NormEstimate:
 
     For p in {2, 4} the norm is exact: ||S||_2^2 = n by Parseval and
     ||S||_4^4 is the additive energy K, counted exactly for any 64-bit set.
-    For p = 1 the integrand |S| has kinks at zeros of S; those panels are
-    refined adaptively to a fixed depth; error_bound bounds the panels kept
-    at that depth, and the rest are accurate to ~2e-15 on closed forms.
-    p = 1 raises FrequencyTooLarge above quadrature.MAX_HARMONIC.
+    For p = 1 the rule integrates |S| of c = canonicalize(fs), whose norm is
+    fs's (fs itself if canonical), so its cost follows c.k_max; the
+    estimate describes fs and is bit for bit c's. |S| has kinks at zeros of
+    S; those panels are refined adaptively to a fixed depth; error_bound
+    bounds the panels kept at that depth, and the rest are accurate to
+    ~2e-15 on closed forms. p = 1 raises FrequencyTooLarge when c.k_max is
+    above quadrature.MAX_HARMONIC.
     """
     if p not in (1, 2, 4):
         raise ValueError("p must be one of 1, 2, 4")
     if p != 1:
         value = math.sqrt(fs.n) if p == 2 else count_quadruple_solutions(fs) ** 0.25
         return NormEstimate(p=p, value=value, normalized=None, std_error=None, method="exact", n=fs.n)
-    value, bound = integrate_abs_adaptive(lambda th: np.abs(fq.sum_values(fs, th)), _lipschitz(fs), fs.k_max)
+    c = _canonical(fs)
+    value, bound = integrate_abs_adaptive(lambda th: np.abs(fq.sum_values(c, th)), _lipschitz(c), c.k_max)
     return _l1_quadrature_estimate(fs, value, bound)
+
+
+def _canonical(fs: FrequencySet) -> FrequencySet:
+    """canonicalize(fs), the set the L1 rule runs on; FrequencyTooLarge if its k_max is over the limit."""
+    c = canonicalize(fs)
+    if c.k_max > MAX_HARMONIC:
+        raise FrequencyTooLarge(
+            f"k_max {fs.k_max} (canonical k_max {c.k_max}) exceeds the quadrature limit {MAX_HARMONIC}; "
+            "use Monte Carlo instead"
+        )
+    return c
 
 
 def _lipschitz(fs: FrequencySet) -> float:
@@ -227,38 +242,40 @@ def _l1_quadrature_estimate(fs: FrequencySet, value: float, bound: float) -> Nor
 def l1_quadrature_many(sets: Iterable[FrequencySet]) -> Iterator[tuple[FrequencySet, NormEstimate]]:
     """(fs, lp_norm_quadrature(fs, 1)) for each set, in order and bit for bit, in shared kernel passes.
 
-    Each set runs its own quadrature.abs_rule, which sees only its own
-    values; this only pools the rules' kernel calls. sets may be a lazy
-    stream: a set is admitted while the nodes pending evaluation stay below
-    GROUP_PANELS * 8. The pending levels of consecutive sets of one size go
-    to one kernel call within that budget, each node taking its own set's
+    Each set runs its own quadrature.abs_rule on its canonical set, as
+    lp_norm_quadrature does, and sees only its own values; this only pools
+    the rules' kernel calls. sets may be a lazy stream: a set is admitted
+    while the nodes pending evaluation stay below GROUP_PANELS * 8. The
+    pending levels of consecutive sets of one size go to one kernel call
+    within that budget, each node taking its own canonical set's
     frequencies; a larger level goes alone, with scalar frequencies.
     """
     budget = GROUP_PANELS * 8
     sets = iter(sets)
     order = deque()  # [fs, estimate or None] per admitted set, in input order
-    pending = []     # (slot of order, rule, nodes) per set still refining, in input order
+    pending = []     # (slot of order, canonical set, rule, nodes) per set still refining, in input order
     while True:
-        size = sum(nodes.size for _, _, nodes in pending)
+        size = sum(nodes.size for *_, nodes in pending)
         while size < budget and (fs := next(sets, None)) is not None:
             order.append(slot := [fs, None])
-            rule = abs_rule(_lipschitz(fs), fs.k_max)
-            pending.append((slot, rule, next(rule)))
-            size += pending[-1][2].size
+            c = _canonical(fs)
+            rule = abs_rule(_lipschitz(c), c.k_max)
+            pending.append((slot, c, rule, next(rule)))
+            size += pending[-1][3].size
         if not pending:
             return
         # the first run of pending sets of one size within the budget, or the first set alone
         run = total = 0
-        for slot, _, nodes in pending:
-            if run and (slot[0].n != pending[0][0][0].n or total + nodes.size > budget):
+        for _, c, _, nodes in pending:
+            if run and (c.n != pending[0][1].n or total + nodes.size > budget):
                 break
             run, total = run + 1, total + nodes.size
-        vals = _pooled_abs([slot[0] for slot, _, _ in pending[:run]], [nodes for _, _, nodes in pending[:run]])
+        vals = _pooled_abs([c for _, c, _, _ in pending[:run]], [nodes for *_, nodes in pending[:run]])
         refining, at = [], 0
-        for slot, rule, nodes in pending[:run]:
+        for slot, c, rule, nodes in pending[:run]:
             at += nodes.size
             try:
-                refining.append((slot, rule, rule.send(vals[at - nodes.size : at])))
+                refining.append((slot, c, rule, rule.send(vals[at - nodes.size : at])))
             except StopIteration as done:
                 slot[1] = _l1_quadrature_estimate(slot[0], *done.value)
         pending[:run] = refining
@@ -309,21 +326,24 @@ def _l1_prefixes(fs: FrequencySet, ns: Sequence[int], cfg: McConfig) -> list[Nor
 
 
 def l1_auto(fs: FrequencySet, tol: float | Callable[[], float], seed: int | Callable[[], int] = 0) -> NormEstimate:
-    """Quadrature up to quadrature.MAX_HARMONIC, else Monte Carlo sized to tol.
+    """Quadrature if the canonical k_max is at most quadrature.MAX_HARMONIC, else Monte Carlo sized to tol.
 
-    The Monte Carlo branch targets std_error <= tol/3 on the (unnormalized)
-    value, with the sample count sized from a pilot run. tol and seed may
-    each be a callable that returns it; only the Monte Carlo branch calls
-    them, so a caller that records its inputs records only those used. A
-    tol that is not positive raises ValueError, on either branch if given
-    as a number.
+    The quadrature branch is lp_norm_quadrature, which runs on the same
+    canonicalize(fs), so the two agree on where the limit falls. The Monte
+    Carlo branch samples fs itself and targets std_error <= tol/3 on the
+    (unnormalized) value, with the sample count sized from a pilot run. tol
+    and seed may each be a callable that returns it; only the Monte Carlo
+    branch calls them, so a caller that records its inputs records only
+    those used. A tol that is not positive raises ValueError, on either
+    branch if given as a number.
     """
-    if fs.k_max > MAX_HARMONIC or not callable(tol):
+    c = canonicalize(fs)
+    if c.k_max > MAX_HARMONIC or not callable(tol):
         tol = tol() if callable(tol) else tol
         if not tol > 0:
             raise ValueError(f"tol must be positive, got {tol!r}")
-    if fs.k_max <= MAX_HARMONIC:
-        return lp_norm_quadrature(fs, 1)
+    if c.k_max <= MAX_HARMONIC:
+        return lp_norm_quadrature(c, 1)
     seed = seed() if callable(seed) else seed
     pilot = l1_monte_carlo(fs, McConfig(samples=1 << 14, seed=seed))
     sigma = (pilot.std_error or 0.0) * math.sqrt(pilot.samples)

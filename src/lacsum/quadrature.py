@@ -1,21 +1,27 @@
 """Adaptive composite Gauss-Legendre quadrature of |S| on [0,1].
 
 There is one rule: 8-point Gauss-Legendre on 8 first-level panels per unit
-of the highest harmonic k_max (64 nodes per period). abs_rule runs it on one
-integrand as a generator that yields each level's nodes and is sent the
-values there, so a caller may pool the levels of many integrands in one
-evaluation (norms.l1_quadrature_many); integrate_abs_adaptive drives it
-with one function. |S| has kinks at the zeros of S, so any panel that might
-contain a zero is bisected, to a fixed depth. A coarser first level saves
-nothing: at one panel per harmonic, lipschitz * width >= 2 pi > n >= max |S|
-for n <= 6, so every panel fails the kink test and is split anyway; 8 to
-128 points per period agree to 2e-15.
+of the highest harmonic k_max (64 nodes per period). Its callers in norms
+run it on the canonical set (frequency.canonicalize): |S| of a*k + b is |S|
+of k at a*theta, so the norm is the same and the cost follows the canonical
+k_max, not the given one. abs_rule runs it on one integrand as a generator
+that yields each level's nodes and is sent the values there, so a caller
+may pool the levels of many integrands in one evaluation
+(norms.l1_quadrature_many); integrate_abs_adaptive drives it with one
+function. |S| has kinks at the zeros of S, so any panel that might contain
+a zero is bisected, to a fixed depth. A coarser first level saves nothing:
+at one panel per harmonic, lipschitz * width >= 2 pi > n >= max |S| for
+n <= 6, so every panel fails the kink test and is split anyway; 8 to 128
+points per period agree to 2e-15.
 
 The rule accepts k_max <= MAX_HARMONIC = 2^21, i.e. up to 2^27 first-level
 nodes; above it, FrequencyTooLarge sends callers to Monte Carlo. The limit
-bounds time, not well: |S| of {1, 2^21} takes 2-2.3 minutes on a 2-vCPU
-Xeon. Blocks and the depth limit bound memory. L2 and L4 norms need no
-quadrature: they are exact (see norms.lp_norm_quadrature).
+bounds time, not well: |S| of the canonical {1, 2, 2^21} takes ~14 s and
+91 MB on a 2-vCPU Xeon, while {1, 2, 2^21 - 1, 2^21}, where |S| is small on
+a wide interval around 1/2, ran 8 minutes without finishing and passed
+4.5 GB. Blocks and the depth limit bound memory only where few panels fail
+the kink test. L2 and L4 norms need no quadrature: they are exact (see
+norms.lp_norm_quadrature).
 """
 
 from __future__ import annotations

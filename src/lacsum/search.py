@@ -2,7 +2,9 @@
 
 The L1 norm is invariant under shifting all frequencies and under dilating
 them by a positive integer, so the search runs over canonical
-representatives: minimum element 1 and gcd of pairwise differences 1.
+representatives (frequency.canonicalize): minimum element 1 and gcd of
+pairwise differences 1. The L1 rule measures every set as its canonical
+one, so a canonical candidate is measured as given.
 
 convergence_study measures the normalized L1 of {q, ..., q^n} across n by
 Monte Carlo. The sets are nested prefixes of one lacunary set, so all rows
@@ -20,7 +22,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DomainError, SearchSpaceTooLarge
-from .frequency import FrequencySet, lacunary_set, make_frequency_set
+from .frequency import FrequencySet, canonicalize, lacunary_set, make_frequency_set
 from .norms import McConfig, NormEstimate, _l1_prefixes, l1_quadrature_many, lp_norm_quadrature
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0
@@ -48,16 +50,6 @@ class StudyRow:
     normalized_l1: float
     std_error: float
     gap_to_limit: float  # sqrt(pi)/2 - normalized_l1
-
-
-def canonicalize(fs: FrequencySet) -> FrequencySet:
-    """Shift the minimum to 1, then divide the differences by their gcd."""
-    if fs.n == 1:
-        return make_frequency_set([1])
-    base = fs.freqs[0]
-    diffs = [k - base for k in fs.freqs[1:]]
-    g = gcd(*diffs)
-    return make_frequency_set([1] + [1 + d // g for d in diffs])
 
 
 def _canonical_candidates(n: int, max_freq: int):

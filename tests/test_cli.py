@@ -101,8 +101,8 @@ def test_norms_mc_seed_is_recorded(tmp_path, capsys):
 
 
 def test_norms_auto_records_its_seed_when_it_samples(tmp_path, capsys):
-    # one frequency above quadrature.MAX_HARMONIC sends --method auto to Monte Carlo
-    code, out = run_in(tmp_path, "norms", "--freqs", f"1,{2**21 + 1}", "--tol", "0.05", capsys=capsys)
+    # a canonical k_max above quadrature.MAX_HARMONIC sends --method auto to Monte Carlo
+    code, out = run_in(tmp_path, "norms", "--freqs", f"1,2,{2**21 + 1}", "--tol", "0.05", capsys=capsys)
     assert code == 0 and json.loads(out)["method"] == "monte-carlo"
     run_dir = only_record_dir(tmp_path)
     assert load_record(run_dir).config["seed"] == json.loads(out)["seed"]

@@ -10,6 +10,7 @@ import pytest
 
 from lacsum import (
     McConfig,
+    canonicalize,
     clt_report,
     convergence_study,
     default_phi_grid,
@@ -78,17 +79,41 @@ def test_l1_shift_and_dilation_invariance():
     ref = lp_norm_quadrature(base, p=1).value
     shifted = make_frequency_set([k + 5 for k in base.freqs])
     dilated = make_frequency_set([3 * k for k in base.freqs])
-    assert abs(lp_norm_quadrature(shifted, p=1).value - ref) < 1e-8
-    assert abs(lp_norm_quadrature(dilated, p=1).value - ref) < 1e-8
+    assert lp_norm_quadrature(shifted, p=1).value == ref
+    assert lp_norm_quadrature(dilated, p=1).value == ref
+
+
+def test_l1_rule_measures_the_canonical_set():
+    # shifted and dilated copies of a set get its canonical set's estimate,
+    # bit for bit, alone and pooled; the estimate still describes the copy
+    bases = [make_frequency_set(f) for f in ([1, 2], [1, 4, 11], [1, 2, 6, 7], [1, 3, 8, 9, 12])]
+    copies = [make_frequency_set([a * k + b for k in fs.freqs]) for fs in bases for a, b in ((1, 7), (5, 0), (3, 2))]
+    assert all(canonicalize(fs) is fs for fs in bases)
+    for fs, pooled in l1_quadrature_many(copies):
+        assert pooled == lp_norm_quadrature(fs, 1) == lp_norm_quadrature(canonicalize(fs), 1)
+
+
+def test_l1_canonical_set_sets_the_limit():
+    # {1, 2^22} is {1, 2} up to dilation: measured, not refused or sampled
+    fs = make_frequency_set([1, 2**22])
+    for est in (lp_norm_quadrature(fs, 1), l1_auto(fs, tol=0.05)):
+        assert est.method == "quadrature"
+        assert abs(est.value - 4 / math.pi) < 1e-9
+    with pytest.raises(FrequencyTooLarge, match=f"k_max {8**16} \\(canonical k_max {(8**16 - 8) // 56 + 1}\\)"):
+        lp_norm_quadrature(lacunary_set(8, 16), 1)
 
 
 def test_l1_two_term_kinks_near_panel_edges():
     # |e(a theta) + e(300 theta)| = 2 |cos(pi (300 - a) theta)| has mean 4/pi.
     # For these a some zeros of S lie closer to a panel edge than the first
     # Gauss node, where a panel-against-halves error estimate sees no kink.
+    # lp_norm_quadrature measures every such pair as {1, 2}, so the rule
+    # runs here on the raw integrand.
     for a in (17, 46, 58, 62, 74, 82, 86, 94, 98, 151):
-        est = lp_norm_quadrature(make_frequency_set([a, 300]), p=1)
-        assert abs(est.value - 4 / math.pi) < 1e-12
+        fs = make_frequency_set([a, 300])
+        value, _ = quadrature.integrate_abs_adaptive(
+            lambda th: np.abs(sum_values(fs, th)), 2 * math.pi * (a + 300), 300)
+        assert abs(value - 4 / math.pi) < 1e-12
 
 
 def test_l1_quadrature_memory_is_block_sized():
@@ -106,15 +131,15 @@ def test_l1_quadrature_memory_is_block_sized():
 
 
 def test_many_owner_levels_stay_within_their_budget(monkeypatch):
-    # 200 two-sets {1, 1 + k}, |S| = 2|cos(pi k theta)| with k simple zeros,
-    # around two sets whose first level spans two blocks of _BLOCK_PANELS
-    # panels. A kernel call of several sets (per-point frequency rows) holds
-    # at most GROUP_PANELS * 8 nodes, a larger level goes alone (scalar
-    # frequencies), and every set gets what it gets alone, bit for bit
+    # 200 canonical three-sets {1, 2, k}, around two sets whose first level
+    # spans two blocks of _BLOCK_PANELS panels. A kernel call of several
+    # sets (per-point frequency rows) holds at most GROUP_PANELS * 8 nodes,
+    # a larger level goes alone (scalar frequencies), and every set gets
+    # what it gets alone, bit for bit
     sets = (
-        [make_frequency_set([1, 2 + o % 6]) for o in range(100)]
-        + [make_frequency_set([1, 3, 2**14 + 1]), make_frequency_set([1, 5, 2**14 + 1])]
-        + [make_frequency_set([1, 2 + o % 5]) for o in range(100)]
+        [make_frequency_set([1, 2, 3 + o % 6]) for o in range(100)]
+        + [make_frequency_set([1, 2, 2**14 + 1]), make_frequency_set([1, 3, 2**14 + 2])]
+        + [make_frequency_set([1, 2, 3 + o % 5]) for o in range(100)]
     )
     calls = []
     kernel = frequency.sum_values_rows
@@ -398,7 +423,7 @@ def test_l1_auto_dispatch():
     assert mc.method == "monte-carlo"
     assert mc.std_error <= 5e-3
     # one place knows the quadrature limit: just above it, l1_auto samples
-    assert l1_auto(make_frequency_set([1, 2**21 + 1]), tol=0.05).method == "monte-carlo"
+    assert l1_auto(make_frequency_set([1, 2, 2**21 + 1]), tol=0.05).method == "monte-carlo"
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match=f"tol must be positive, got {tol!r}"):
             l1_auto(lacunary_set(8, 16), tol=tol)

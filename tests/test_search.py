@@ -89,10 +89,10 @@ def test_batched_l1_is_lp_norm_quadrature_bit_for_bit(n, max_freq):
         alone = lp_norm_quadrature(fs, 1)
         assert (est.value, est.error_bound, est.normalized) == (alone.value, alone.error_bound, alone.normalized)
     # a mixed stream: sizes change, a set too large to group goes alone, and
-    # the first level of {1, 3, 2^14 + 1} spans two blocks
+    # the first level of {1, 2, 2^14 + 1} spans two blocks
     mixed = [
         make_frequency_set(f)
-        for f in ([1, 2], [2, 5], [1, 3, 2**10], [1, 3, 2**14 + 1], [1, 2, 6, 7], [1, 3, 5, 6], [3, 4])
+        for f in ([1, 2], [2, 5], [1, 3, 2**10], [1, 2, 2**14 + 1], [1, 2, 6, 7], [1, 3, 5, 6], [3, 4])
     ]
     for fs, est in l1_quadrature_many(mixed):
         alone = lp_norm_quadrature(fs, 1)
