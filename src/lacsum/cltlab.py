@@ -176,11 +176,14 @@ def deviation_bound(s: float, t: float, n: int) -> float:
     if n < 1:
         raise DomainError("n must be >= 1")
     ss = s * s + t * t
-    return (
-        math.expm1((abs(s) ** 3 + abs(t) ** 3) / math.sqrt(n))
-        + math.expm1(ss / n**0.25)
-        + math.exp(ss) / n
-    )
+    try:
+        return (
+            math.expm1((abs(s) ** 3 + abs(t) ** 3) / math.sqrt(n))
+            + math.expm1(ss / n**0.25)
+            + math.exp(ss) / n
+        )
+    except OverflowError:  # a term past the float range: the bound is vacuous
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -427,7 +430,13 @@ class FinalChainAudit:
     e_abs_z: ValueWithError
 
     def inequalities(self, sigmas: float = 4.0) -> list[dict]:
-        """Each chain inequality as lhs >= rhs - sigmas * combined std error."""
+        """Each chain inequality as lhs >= rhs - sigmas * combined std error.
+
+        None can fail at any practical n: two compare a mean with its own
+        truncation, and the triangle inequality holds by 0.59 against a slack
+        of 0.011 at n = 16 (10^5 samples, seed 3). None compares e_abs_xz_trunc
+        with e_abs_yz_trunc, the step where the paper's CLT enters (ROADMAP item 3).
+        """
         def check(name, lhs, rhs, *errs):
             slack = sigmas * math.sqrt(sum(e * e for e in errs))
             return {

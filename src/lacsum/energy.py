@@ -25,7 +25,7 @@ for Python ints (n <= 1024, ~0.6 s).
 
 mian_chowla builds the greedy Sidon sequence from a bitmap of forbidden
 candidates. It is capped by its work, ~n^3/6 marks: MAX_SIDON_MARKS
-(n <= 1338, ~7 s and ~160 MB on the same machine).
+(n <= 1338, ~7 s and ~90 MB RSS on the same machine).
 """
 
 from __future__ import annotations
@@ -140,8 +140,9 @@ def mian_chowla(n: int) -> FrequencySet:
     candidates past c are exactly c + d over every difference d of the new
     set (b + (c - a) = c + (b - a)), so those are marked in a bitmap and the
     next term is its first unmarked entry past c. Every mark is below 2c, so
-    the next term is at most 2c. The work is ~n^3/6 marks, capped at
-    MAX_SIDON_MARKS (n <= 1338).
+    the next term is at most 2c, and the bitmap keeps only the candidates
+    past c: when 2c passes its end it is rebuilt over (c, 3c]. The work is
+    ~n^3/6 marks, capped at MAX_SIDON_MARKS (n <= 1338).
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -152,20 +153,22 @@ def mian_chowla(n: int) -> FrequencySet:
         )
     seq = np.zeros(n, dtype=np.int64)
     diffs = np.zeros(n * (n - 1) // 2, dtype=np.int64)
-    forbidden = np.zeros(1024, dtype=bool)
-    c, used = 1, 0
+    forbidden = np.zeros(1024, dtype=bool)  # forbidden[i] marks candidate lo + i
+    lo, c, used = 0, 1, 0
     for k in range(n):
         seq[k] = c
         diffs[used : used + k] = c - seq[:k]
         used += k
-        if 2 * c >= forbidden.size:
-            forbidden = np.concatenate([forbidden, np.zeros(2 * c, dtype=bool)])
-        forbidden[c + diffs[:used]] = True
+        if 2 * c >= lo + forbidden.size:
+            live = np.zeros(2 * c, dtype=bool)
+            live[: lo + forbidden.size - c - 1] = forbidden[c + 1 - lo :]
+            forbidden, lo = live, c + 1
+        forbidden[c - lo + diffs[:used]] = True
         # 2c is never marked, so a window doubling from c + 1 finds the next term
         width = 64
-        while forbidden[c + 1 : c + 1 + width].all():
+        while forbidden[c + 1 - lo : c + 1 - lo + width].all():
             width *= 2
-        c += 1 + int(np.argmin(forbidden[c + 1 : c + 1 + width]))
+        c += 1 + int(np.argmin(forbidden[c + 1 - lo : c + 1 - lo + width]))
     return make_frequency_set(seq.tolist())
 
 

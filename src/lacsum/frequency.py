@@ -8,17 +8,17 @@ double-precision products lose all phase information.
 
 Every bulk evaluation (Monte Carlo, quadrature, the alpha/beta products)
 goes through one kernel, which takes each phase as an exact 64-bit fraction
-and e^{2 pi i phase} from a table without libm. evaluate_sum stays as the
-scalar libm reference.
+and e^{2 pi i phase} from a table without libm; only this module builds its
+multipliers. sum_values evaluates one set, and sum_values_sets several, each
+at its own nodes (the L1 pool). evaluate_sum is the scalar libm reference.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -212,13 +212,8 @@ _TABLE = _unit_roots(_TABLE_BITS)
 _TABLE_PARTS = _TABLE.view(np.float64).reshape(-1, 2)
 
 
-@functools.lru_cache(maxsize=256)
 def _multipliers(freqs: tuple, factor: int) -> tuple:
-    """factor k mod 2^64 for each k of freqs, as uint64 scalars for _add_unit_roots.
-
-    Cached: the L1 rule evaluates one set once a level, ~21 times for a
-    simple zero, and each scalar takes ~0.3 us to make.
-    """
+    """factor k mod 2^64 for each k of freqs, as uint64 scalars for _add_unit_roots."""
     return tuple(np.uint64(factor * k % 2**64) for k in freqs)
 
 
@@ -303,20 +298,22 @@ def sum_values(fs: FrequencySet, thetas) -> np.ndarray:
     2^-64, so its phase k theta by less than k 2^-64 turns. The dyadic kernel
     then takes every phase k m mod 2^64 exactly.
     """
-    return sum_values_rows(_multipliers(fs.freqs, 1), thetas)
-
-
-def sum_values_rows(rows, thetas) -> np.ndarray:
-    """Each point's own S(theta): sum_j e^{2 pi i k_j theta} with k_j = rows[j] at that point.
-
-    rows holds one entry per frequency: a uint64 scalar, the same at every
-    point, or a 1-d uint64 array of one value per point, in the flat order
-    of thetas (the rows of a 2-d array do). Many sets of one size are
-    evaluated in one kernel pass this way, each point bit for bit as
-    sum_values of its own set, which is this with scalar rows.
-    """
     th = np.asarray(thetas, dtype=np.float64)
-    shape, th = th.shape, th.reshape(-1)
+    return _sums(_multipliers(fs.freqs, 1), th.reshape(-1)).reshape(th.shape)
+
+
+def sum_values_sets(sets: Sequence[FrequencySet], levels: Sequence[np.ndarray]) -> np.ndarray:
+    """S at each level's nodes for that level's own set, in one kernel call, as one flat array.
+
+    The sets are of one size. Each node takes its set's frequencies as its
+    own multipliers, so it gets, bit for bit, what sum_values of its set gives.
+    """
+    rows = np.repeat(np.array([fs.freqs for fs in sets], dtype=np.uint64).T, [t.size for t in levels], axis=1)
+    return _sums(rows, np.concatenate(levels, axis=None, dtype=np.float64))
+
+
+def _sums(mults, th: np.ndarray) -> np.ndarray:
+    """S at a flat float64 array of theta, taken mod 1, for the multipliers of _add_unit_roots."""
     # theta - floor(theta) is np.mod(theta, 1.0) bit for bit: both round the
     # exact fraction once. np.mod goes through libm fmod at ~20 ns a point.
     frac = np.floor(th)
@@ -326,5 +323,5 @@ def sum_values_rows(rows, thetas) -> np.ndarray:
     m = frac.astype(np.uint64)
     del frac
     out = np.zeros(m.size, dtype=np.complex128)
-    _add_unit_roots(rows, m, out)
-    return out.reshape(shape)
+    _add_unit_roots(mults, m, out)
+    return out

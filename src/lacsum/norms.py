@@ -246,9 +246,9 @@ def l1_quadrature_many(sets: Iterable[FrequencySet]) -> Iterator[tuple[Frequency
     lp_norm_quadrature does, and sees only its own values; this only pools
     the rules' kernel calls. sets may be a lazy stream: a set is admitted
     while the nodes pending evaluation stay below GROUP_PANELS * 8. The
-    pending levels of consecutive sets of one size go to one kernel call
-    within that budget, each node taking its own canonical set's
-    frequencies; a larger level goes alone, with scalar frequencies.
+    pending levels of consecutive sets of one size go to one
+    frequency.sum_values_sets call within that budget; a run of one set,
+    such as a level larger than the budget, goes to frequency.sum_values.
     """
     budget = GROUP_PANELS * 8
     sets = iter(sets)
@@ -270,7 +270,8 @@ def l1_quadrature_many(sets: Iterable[FrequencySet]) -> Iterator[tuple[Frequency
             if run and (c.n != pending[0][1].n or total + nodes.size > budget):
                 break
             run, total = run + 1, total + nodes.size
-        vals = _pooled_abs([c for _, c, _, _ in pending[:run]], [nodes for *_, nodes in pending[:run]])
+        _, group, _, levels = zip(*pending[:run])
+        vals = np.abs(fq.sum_values(group[0], levels[0]) if run == 1 else fq.sum_values_sets(group, levels))
         refining, at = [], 0
         for slot, c, rule, nodes in pending[:run]:
             at += nodes.size
@@ -279,21 +280,9 @@ def l1_quadrature_many(sets: Iterable[FrequencySet]) -> Iterator[tuple[Frequency
             except StopIteration as done:
                 slot[1] = _l1_quadrature_estimate(slot[0], *done.value)
         pending[:run] = refining
-        del vals  # freed before the next level is evaluated
+        del vals, levels  # freed before the next level is evaluated
         while order and order[0][1] is not None:
             yield tuple(order.popleft())
-
-
-def _pooled_abs(group: list[FrequencySet], levels: list[np.ndarray]) -> np.ndarray:
-    """|S| at each level's nodes for its own set, in one kernel call."""
-    if len(group) == 1:
-        # scalar frequencies, as sum_values takes them: a row per node would
-        # take 8 bytes a node per frequency, and a multiple zero refines alone
-        # at ~10^4 panels a level
-        return np.abs(fq.sum_values_rows(fq._multipliers(group[0].freqs, 1), levels[0]))
-    sizes = [nodes.size for nodes in levels]
-    rows = np.repeat(np.array([fs.freqs for fs in group], dtype=np.uint64).T, sizes, axis=1)
-    return np.abs(fq.sum_values_rows(rows, np.concatenate(levels)))
 
 
 def l1_monte_carlo(fs: FrequencySet, cfg: McConfig) -> NormEstimate:

@@ -6,8 +6,8 @@ run it on the canonical set (frequency.canonicalize): |S| of a*k + b is |S|
 of k at a*theta, so the norm is the same and the cost follows the canonical
 k_max, not the given one. abs_rule runs it on one integrand as a generator
 that yields each level's nodes and is sent the values there, so a caller
-may pool the levels of many integrands in one evaluation
-(norms.l1_quadrature_many); integrate_abs_adaptive drives it with one
+may pool many integrands' levels in one evaluation (norms.l1_quadrature_many
+calls frequency.sum_values_sets); integrate_abs_adaptive drives it with one
 function. |S| has kinks at the zeros of S, so any panel that might contain
 a zero is bisected, to a fixed depth. A coarser first level saves nothing:
 at one panel per harmonic, lipschitz * width >= 2 pi > n >= max |S| for

@@ -189,6 +189,12 @@ def test_deviation_bound_arithmetic():
     assert deviation_bound(0.0, 0.0, 100) == 1.0 / 100
 
 
+def test_deviation_bound_past_the_float_range_is_vacuous():
+    # the cubic term overflows expm1 at (27, 0, 16), exp(900) at (0, 30, 10^6)
+    assert deviation_bound(27.0, 0.0, 16) == math.inf
+    assert deviation_bound(0.0, 30.0, 10**6) == math.inf
+
+
 # --------------------------------------------------------- gaussian / smoothing
 
 

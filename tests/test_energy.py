@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,19 @@ def test_mian_chowla_known_terms():
     # checked against the candidate-by-candidate greedy construction
     assert mian_chowla(120).freqs[-1] == 44879
     assert mian_chowla(200).freqs[-1] == 172922
+
+
+def test_mian_chowla_bitmap_keeps_only_the_candidates_past_the_last_term():
+    # a_800 = 7 600 544: a window over (c, 3c] peaks below 30 MiB, where a
+    # bitmap over [0, ~4c] that grows by concatenation peaks at ~43 MB
+    tracemalloc.start()
+    try:
+        last = mian_chowla(800).freqs[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last == 7600544
+    assert peak < 30 * 2**20
 
 
 def test_mian_chowla_capacity_guard():

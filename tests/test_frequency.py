@@ -230,8 +230,9 @@ def test_sum_values_matches_scalar_reference():
 
 @pytest.mark.parametrize("size", [0, 1, 2**15 - 1, 2**15 + 1, 70_001])
 def test_sum_values_rows_give_each_point_its_own_set(size):
-    # per-point multiplier rows: each point, bit for bit, the sum_values of
-    # its own set, across the kernel's block edges; a scalar row is shared
+    # sum_values_sets gives each node a row of its own set's multipliers, in
+    # one kernel call: each node, bit for bit, the sum_values of its own
+    # level's set, across the kernel's block edges
     rg = np.random.default_rng(size)
     sets = [make_frequency_set([1, 2, 6]), make_frequency_set([3, 10, 8**21]), lacunary_set(7, 3),
             make_frequency_set([2**63 + 1, 2**64 - 5, 2**64 - 1])]
@@ -239,18 +240,14 @@ def test_sum_values_rows_give_each_point_its_own_set(size):
     th[::5] = 0.0  # m = 0
     th[1::7] = rg.integers(0, 2**13, size=th[1::7].size) / 2**13  # exact table points
     th[2::11] = -rg.random(th[2::11].size)
-    owner = rg.integers(0, len(sets), size=size)
-    columns = np.array([fs.freqs for fs in sets], dtype=np.uint64).T
-    rows = [k[owner] for k in columns]
-    got = fq.sum_values_rows(rows, th)
+    cuts = np.sort(rg.integers(0, size + 1, size=7))
+    levels = np.split(th, cuts)  # 8 levels, some of them empty
+    owners = [sets[g] for g in rg.integers(0, len(sets), size=len(levels))]
+    got = fq.sum_values_sets(owners, levels)
     assert got.shape == th.shape
-    for g, fs in enumerate(sets):
-        want = fq.sum_values(fs, th[owner == g])
-        assert np.array_equal(got[owner == g].view(np.uint64), want.view(np.uint64))
-    shared = fq.sum_values_rows([np.uint64(1)] + rows[1:], th)
-    for g, fs in enumerate(sets):
-        want = fq.sum_values(make_frequency_set((1,) + fs.freqs[1:]), th[owner == g])
-        assert np.array_equal(shared[owner == g].view(np.uint64), want.view(np.uint64))
+    for fs, level, part in zip(owners, levels, np.split(got, cuts)):
+        want = fq.sum_values(fs, level)
+        assert np.array_equal(part.view(np.uint64), want.view(np.uint64))
 
 
 def test_freqs_file_roundtrip(tmp_path):

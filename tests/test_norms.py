@@ -133,22 +133,24 @@ def test_l1_quadrature_memory_is_block_sized():
 def test_many_owner_levels_stay_within_their_budget(monkeypatch):
     # 200 canonical three-sets {1, 2, k}, around two sets whose first level
     # spans two blocks of _BLOCK_PANELS panels. A kernel call of several
-    # sets (per-point frequency rows) holds at most GROUP_PANELS * 8 nodes,
-    # a larger level goes alone (scalar frequencies), and every set gets
-    # what it gets alone, bit for bit
+    # sets (sum_values_sets) holds at most GROUP_PANELS * 8 nodes, a larger
+    # level goes alone (sum_values), and every set gets what it gets alone,
+    # bit for bit
     sets = (
         [make_frequency_set([1, 2, 3 + o % 6]) for o in range(100)]
         + [make_frequency_set([1, 2, 2**14 + 1]), make_frequency_set([1, 3, 2**14 + 2])]
         + [make_frequency_set([1, 2, 3 + o % 5]) for o in range(100)]
     )
     calls = []
-    kernel = frequency.sum_values_rows
 
-    def recorded(rows, thetas):
-        calls.append((isinstance(rows, np.ndarray), thetas.size))
-        return kernel(rows, thetas)
+    def recorded(kernel, pooled):
+        def call(fs, thetas):
+            calls.append((pooled, sum(t.size for t in thetas) if pooled else thetas.size))
+            return kernel(fs, thetas)
+        return call
 
-    monkeypatch.setattr(frequency, "sum_values_rows", recorded)
+    monkeypatch.setattr(frequency, "sum_values_sets", recorded(frequency.sum_values_sets, True))
+    monkeypatch.setattr(frequency, "sum_values", recorded(frequency.sum_values, False))
     results = list(l1_quadrature_many(sets))
     monkeypatch.undo()
     assert max(size for _, size in calls) == 8 * quadrature._BLOCK_PANELS
