@@ -70,8 +70,16 @@ def _finite_thetas(thetas) -> np.ndarray:
     return th
 
 
+def _require_finite(**values: float) -> None:
+    """DomainError naming the first of values that is NaN or infinite."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v!r}")
+
+
 def alpha_at(fs: FrequencySet, s: float, t: float, thetas: np.ndarray) -> np.ndarray:
     """alpha(s,t)(theta) = prod_j (1 + is sin(2 pi k_j theta)/sqrt(n)) (1 + it cos(...)/sqrt(n))."""
+    _require_finite(s=s, t=t)
     thetas = _finite_thetas(thetas)
     rt = math.sqrt(fs.n)
     out = np.ones(np.shape(thetas), dtype=np.complex128)
@@ -84,6 +92,7 @@ def alpha_at(fs: FrequencySet, s: float, t: float, thetas: np.ndarray) -> np.nda
 
 def beta_at(fs: FrequencySet, s: float, t: float, thetas: np.ndarray) -> np.ndarray:
     """beta(s,t)(theta): the exponent correction in the decomposition of e^{is mu + it nu}."""
+    _require_finite(s=s, t=t)
     thetas = _finite_thetas(thetas)
     n = fs.n
     rt = math.sqrt(n)
@@ -140,6 +149,7 @@ def product_moment(
     """
     if len(delta) != fs.n or len(delta_hat) != fs.n:
         raise DomainError("selector vectors must have length n")
+    _require_finite(s=s, t=t)
     factors = []
     for k, d, dh in zip(fs.freqs, delta, delta_hat):
         if d:
@@ -156,6 +166,7 @@ def alpha_mean(fs: FrequencySet, s: float, t: float) -> complex:
     1 + (it/2 sqrt n)(z^k + z^-k) over the frequencies, with
     z = e^{2 pi i theta}; its mean is the constant term of that product.
     """
+    _require_finite(s=s, t=t)
     a = s / (2.0 * math.sqrt(fs.n))
     b = 0.5j * t / math.sqrt(fs.n)
     factors = []
@@ -175,6 +186,7 @@ def deviation_bound(s: float, t: float, n: int) -> float:
     """Explicit majorant of |phi(s,t) - e^{-(s^2+t^2)/4}| for the geometric set of size n."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    _require_finite(s=s, t=t)
     ss = s * s + t * t
     try:
         return (
@@ -383,10 +395,12 @@ def ks_distance_to_normal(sample: np.ndarray, sigma2: float) -> float:
     bound comes within _KS_SLACK of the best knot term; the slack absorbs any
     ulp-level non-monotonicity of the computed erfc.
     """
-    x = np.sort(np.asarray(sample, dtype=np.float64))
-    n = x.size
-    if n == 0:
-        raise DomainError("sample must be nonempty")
+    x = np.asarray(sample, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise DomainError(f"sample must be one-dimensional and nonempty, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DomainError("sample must be finite")
+    x, n = np.sort(x), x.size
     if not 0 < sigma2 < math.inf:
         raise DomainError(f"sigma2 must be positive and finite, got {sigma2!r}")
     scale = math.sqrt(2.0 * sigma2)

@@ -8,9 +8,10 @@ double-precision products lose all phase information.
 
 Every bulk evaluation (Monte Carlo, quadrature, the alpha/beta products)
 goes through one kernel, which takes each phase as an exact 64-bit fraction
-and e^{2 pi i phase} from a table without libm; only this module builds its
-multipliers. sum_values evaluates one set, and sum_values_sets several, each
-at its own nodes (the L1 pool). evaluate_sum is the scalar libm reference.
+and e^{2 pi i phase} from a table; only this module builds its multipliers.
+sum_components_dyadic evaluates one set at Monte Carlo draws, sum_values one
+set at float theta, and sum_values_sets several, each at its own nodes (the
+L1 pool). evaluate_sum is the scalar libm reference.
 """
 
 from __future__ import annotations
@@ -135,10 +136,7 @@ def write_freqs_file(fs: FrequencySet, path) -> None:
 def _frac_exact(k: int, theta: float) -> float:
     """(k * theta) mod 1, computed exactly in integer arithmetic then rounded once."""
     num, den = float(theta).as_integer_ratio()  # den is a power of two
-    if den == 1:
-        return 0.0
-    r = (k * num) % den
-    return r / den
+    return (k * num) % den / den
 
 
 def evaluate_sum(fs: FrequencySet, theta: float) -> complex:
@@ -164,8 +162,9 @@ def evaluate_sum(fs: FrequencySet, theta: float) -> complex:
 # top _TABLE_BITS bits of w index a table of e^{2 pi i j / 2^B}, the low
 # bits x give r = 2 pi x / 2^64 < 2 pi / 2^B, short Taylor polynomials give
 # sin r and cos r, and one complex multiply-add joins the two. Only IEEE +
-# and x and a gather touch the data, so the sums depend neither on the
-# platform's cos and sin nor on fused multiply-adds (see _add_unit_roots).
+# and x and a gather touch the data, so the sums depend on the platform's
+# cos and sin only through the 1 025 first-octant entries of the table, and
+# not on fused multiply-adds (see _unit_roots and _add_unit_roots).
 # Each term is within ~2e-16 of e^{2 pi i k theta}.
 # ---------------------------------------------------------------------------
 
@@ -267,7 +266,7 @@ def _add_unit_roots(mults, m: np.ndarray, out: np.ndarray) -> None:
 def sum_components_dyadic(
     fs: FrequencySet, m: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(Re S, Im S) at theta = m/2^63, vectorized over m (uint64, 63-bit).
+    """(Re S, Im S) at theta = m/2^63, vectorized over m (uint64); theta is taken mod 1.
 
     Given out (complex128, C-contiguous, shaped like m), S is added into it,
     and its real and imaginary views are returned; any other out raises
@@ -281,13 +280,6 @@ def sum_components_dyadic(
         raise ValueError("out must be a C-contiguous complex128 array shaped like m")
     _add_unit_roots(_multipliers(fs.freqs, 2), m.reshape(-1), out.reshape(-1))
     return out.real, out.imag
-
-
-def cos_double_sum_dyadic(fs: FrequencySet, m: np.ndarray) -> np.ndarray:
-    """sum_j cos(4 pi k_j theta) at theta = m/2^63 (the doubled-frequency cosine sum)."""
-    out = np.zeros(m.shape, dtype=np.complex128)
-    _add_unit_roots(_multipliers(fs.freqs, 4), m.reshape(-1), out.reshape(-1))
-    return out.real
 
 
 def sum_values(fs: FrequencySet, thetas) -> np.ndarray:

@@ -249,6 +249,7 @@ def l1_quadrature_many(sets: Iterable[FrequencySet]) -> Iterator[tuple[Frequency
     pending levels of consecutive sets of one size go to one
     frequency.sum_values_sets call within that budget; a run of one set,
     such as a level larger than the budget, goes to frequency.sum_values.
+    search.exhaustive_sigma, which streams its candidates, is the one caller.
     """
     budget = GROUP_PANELS * 8
     sets = iter(sets)
@@ -358,6 +359,7 @@ def markov_tail_fraction(fs: FrequencySet, mc: McConfig) -> float:
     Ties at the threshold count as exceeding (a measure-zero convention).
     """
     threshold = fs.n ** 0.75
+    # Re S at 2 theta: m < 2^63, so m << 1 is 2m and the kernel wraps its phases mod 1
     hits = _mc_mean(mc, lambda item, m: np.count_nonzero(
-        np.abs(fq.cos_double_sum_dyadic(fs, m)) >= threshold))
+        np.abs(fq.sum_components_dyadic(fs, m << np.uint64(1))[0]) >= threshold))
     return int(hits) / mc.samples

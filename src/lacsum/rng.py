@@ -45,9 +45,7 @@ def chunk_gaussian_pairs(seed: int, stream: int, chunk: int, count: int, sigma: 
 
 
 def chunk_layout(total: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Fixed partition of `total` draws into (chunk index, count) pieces."""
-    if total <= 0:
-        return []
+    """Fixed partition of `total` draws into (chunk index, count) pieces; none for total <= 0."""
     nchunks = (total + chunk_size - 1) // chunk_size
     return [
         (c, min(chunk_size, total - c * chunk_size))

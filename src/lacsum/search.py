@@ -54,11 +54,8 @@ class StudyRow:
 
 
 def _canonical_candidates(n: int, max_freq: int):
-    if n == 1:
-        yield make_frequency_set([1])
-        return
     for rest in combinations(range(2, max_freq + 1), n - 1):
-        if gcd(*(k - 1 for k in rest)) == 1:
+        if gcd(*(k - 1 for k in rest)) <= 1:  # gcd() of no differences is 0: n = 1 yields {1}
             yield make_frequency_set((1,) + rest)
 
 
@@ -69,8 +66,8 @@ def exhaustive_sigma(n: int, max_freq: int) -> SearchResult:
     best_value and value_error are that measurement. Ties break toward the
     lexicographically smallest set. value_error covers only the panels the
     rule accepted at its depth limit; the others are accurate to ~2e-15.
-    The candidates stream through norms.l1_quadrature_many, which pools
-    the kernel calls of their one-set rules: each is lp_norm_quadrature's.
+    The candidates stream through norms.l1_quadrature_many, its one caller,
+    which pools the kernel calls of their one-set rules (lp_norm_quadrature's).
     """
     if n < 1 or max_freq < n:
         raise DomainError("need n >= 1 and max_freq >= n")
@@ -100,22 +97,17 @@ def exhaustive_sigma(n: int, max_freq: int) -> SearchResult:
 def anneal_sigma(n: int, max_freq: int, budget: int, seed: int) -> SearchResult:
     """Simulated annealing over canonical sets; geometric cooling, seeded moves.
 
-    Every distinct candidate is scored once with the L1 quadrature rule and
-    cached; the initial random sample goes through norms.l1_quadrature_many,
-    which pools the kernel calls of their rules. The result is the cached
-    set with the largest score, ties going to the lexicographically
-    smallest set; best_value and value_error are its measurement, as in
-    exhaustive_sigma, and evaluations counts the distinct sets scored.
+    Every distinct candidate, the initial random sample included, is scored
+    alone with lp_norm_quadrature and cached. The result is the cached set
+    with the largest score, ties going to the lexicographically smallest
+    set; best_value and value_error are its measurement, as in
+    exhaustive_sigma, and evaluations counts the distinct sets scored. For
+    n = 1 every set is {1}, scored exactly 1.0 with error_bound 0.0.
     """
     if budget < 1:
         raise DomainError("budget must be >= 1")
     if n < 1 or max_freq < n or max_freq > MAX_ANNEAL_FREQ:
         raise DomainError(f"need 1 <= n <= max_freq <= {MAX_ANNEAL_FREQ}")
-    if n == 1:
-        return SearchResult(
-            n=1, best_set=make_frequency_set([1]), best_value=1.0,
-            method="anneal", evaluations=1, value_error=0.0, seed=seed,
-        )
 
     rg = np.random.default_rng(seed)
     cache: dict[tuple, NormEstimate] = {}
@@ -129,12 +121,8 @@ def anneal_sigma(n: int, max_freq: int, budget: int, seed: int) -> SearchResult:
         vals = 1 + rg.choice(max_freq, size=n, replace=False)
         return canonicalize(make_frequency_set(vals.tolist()))
 
-    # initial temperature from the spread over a small random sample, drawn
-    # first and then scored in one batch (scoring draws nothing)
-    sample = [random_set() for _ in range(min(100, budget))]
-    distinct = {fs.freqs: fs for fs in sample}.values()
-    cache.update((fs.freqs, est) for fs, est in l1_quadrature_many(distinct))
-    probe = [score(fs) for fs in sample]
+    # initial temperature from the spread over a small random sample
+    probe = [score(random_set()) for _ in range(min(100, budget))]
     temperature = max(float(np.std(probe)), 1e-4)
     cooling = (1e-3) ** (1.0 / max(budget, 2))
 

@@ -195,6 +195,29 @@ def test_deviation_bound_past_the_float_range_is_vacuous():
     assert deviation_bound(0.0, 30.0, 10**6) == math.inf
 
 
+_FS3 = make_frequency_set([1, 3, 7])
+_ST_TAKERS = {
+    "deviation_bound": lambda s, t: deviation_bound(s, t, 4),
+    "alpha_mean": lambda s, t: alpha_mean(_FS3, s, t),
+    "product_moment": lambda s, t: product_moment(_FS3, (1, 0, 1), (0, 1, 0), s, t),
+    "alpha_at": lambda s, t: alpha_at(_FS3, s, t, np.array([0.25, 0.5])),
+    "beta_at": lambda s, t: beta_at(_FS3, s, t, np.array([0.25, 0.5])),
+}
+
+
+@pytest.mark.parametrize("taker", sorted(_ST_TAKERS))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_clt_ingredients_reject_non_finite_s_and_t(taker, bad):
+    # before the guard: nan from deviation_bound, alpha_mean and alpha_at, a
+    # silent 0j from product_moment, a RuntimeWarning from beta_at at inf
+    fn = _ST_TAKERS[taker]
+    with pytest.raises(DomainError, match="s must be finite"):
+        fn(bad, 0.5)
+    with pytest.raises(DomainError, match="t must be finite"):
+        fn(0.5, bad)
+    assert np.isfinite(fn(0.5, 1.0)).all()
+
+
 # --------------------------------------------------------- gaussian / smoothing
 
 
@@ -388,7 +411,16 @@ def test_ks_distance_matches_full_evaluation():
 
 @pytest.mark.parametrize(
     "sample, sigma2, name",
-    [(np.array([]), 0.5, "sample"), (np.zeros(3), 0.0, "sigma2"), (np.zeros(3), -1.0, "sigma2")],
+    [
+        (np.array([]), 0.5, "sample"),
+        (np.zeros(3), 0.0, "sigma2"),
+        (np.zeros(3), -1.0, "sigma2"),
+        # not one-dimensional, or not finite: an IndexError, 0.333 and nan before the guard
+        (np.zeros((2, 3)), 0.5, "one-dimensional"),
+        (np.array(0.5), 0.5, "one-dimensional"),
+        (np.array([-math.inf, 0.0, math.inf]), 0.5, "finite"),
+        (np.array([0.1, math.nan]), 0.5, "finite"),
+    ],
 )
 def test_ks_distance_rejects_bad_input(sample, sigma2, name):
     with pytest.raises(DomainError, match=name):

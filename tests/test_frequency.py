@@ -14,7 +14,7 @@ from lacsum import (
 )
 from lacsum import frequency as fq
 from lacsum.errors import DomainError
-from lacsum.frequency import cos_double_sum_dyadic, sum_components_dyadic
+from lacsum.frequency import sum_components_dyadic
 
 
 def test_make_frequency_set_sorts_and_freezes():
@@ -161,7 +161,7 @@ def test_dyadic_kernel_matches_octant_oracle(k):
     m = kernel_test_points()
     fs = make_frequency_set([k])
     re, im = sum_components_dyadic(fs, m)
-    cos2 = cos_double_sum_dyadic(fs, m)
+    cos2 = sum_components_dyadic(fs, m << np.uint64(1))[0]
     worst = 0.0
     for j, mj in enumerate(m.tolist()):
         c, s = unit_oracle(k * mj, 63)
@@ -174,7 +174,7 @@ def test_dyadic_sums_match_octant_oracle():
     fs = lacunary_set(8, 16)
     m = kernel_test_points()
     re, im = sum_components_dyadic(fs, m)
-    cos2 = cos_double_sum_dyadic(fs, m)
+    cos2 = sum_components_dyadic(fs, m << np.uint64(1))[0]
     for j, mj in enumerate(m.tolist()):
         terms = [unit_oracle(k * mj, 63) for k in fs]
         assert abs(re[j] - math.fsum(c for c, _ in terms)) <= fs.n * 8e-16
@@ -188,14 +188,15 @@ def test_dyadic_kernel_does_not_depend_on_blocking():
     fs = make_frequency_set([3, 10, 8**20])
     m = np.random.default_rng(5).integers(0, 1 << 63, size=2 * fq._BLOCK + 5, dtype=np.uint64)
     re, im = sum_components_dyadic(fs, m)
-    cos2 = cos_double_sum_dyadic(fs, m)
+    cos2 = sum_components_dyadic(fs, m << np.uint64(1))[0]
     for lo in range(0, m.size, 7777):
         part = m[lo : lo + 7777]
         pre, pim = sum_components_dyadic(fs, part)
         assert np.array_equal(pre, re[lo : lo + 7777]) and np.array_equal(pim, im[lo : lo + 7777])
-        assert np.array_equal(cos_double_sum_dyadic(fs, part), cos2[lo : lo + 7777])
+        assert np.array_equal(sum_components_dyadic(fs, part << np.uint64(1))[0], cos2[lo : lo + 7777])
     empty = np.zeros(0, dtype=np.uint64)
-    assert sum_components_dyadic(fs, empty)[0].size == 0 and cos_double_sum_dyadic(fs, empty).size == 0
+    assert sum_components_dyadic(fs, empty)[0].size == 0
+    assert sum_components_dyadic(fs, empty << np.uint64(1))[0].size == 0
     # and any split of the frequencies, added into one out in order
     out = np.zeros(m.shape, dtype=np.complex128)
     sum_components_dyadic(make_frequency_set([3, 10]), m, out)

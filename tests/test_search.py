@@ -56,6 +56,13 @@ def test_exhaustive_trivial_sizes():
     assert r2.best_set.freqs == (1, 2)
     assert abs(r2.best_value - 4 / (math.pi * math.sqrt(2))) < 1e-8
 
+    # anneal's general loop at n = 1: every set canonicalizes to {1}, which
+    # the L1 rule measures as exactly 1 with no error
+    for budget in (1, 10**4):
+        r = anneal_sigma(1, max_freq=1000, budget=budget, seed=7)
+        assert (r.best_set.freqs, r.best_value, r.evaluations, r.value_error) == ((1,), 1.0, 1, 0.0)
+        assert (r.method, r.seed) == ("anneal", 7)
+
 
 def test_exhaustive_three_frequencies_regression():
     r = exhaustive_sigma(3, 12)
