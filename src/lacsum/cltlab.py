@@ -43,6 +43,10 @@ _KS_SLACK = 1e-12
 # Squares between a _phase_rows row and the libm row it was taken from.
 _MAX_SQUARES = 2
 
+# Samples that clt_report and sample_mu_nu keep as mu and nu, 16 bytes each:
+# 1.6 GB at the cap.
+_MAX_KEPT_SAMPLES = 10**8
+
 
 # ---------------------------------------------------------------------------
 # The remainder w and the alpha/beta decomposition
@@ -339,9 +343,15 @@ def _sample_pass(
 
     Returns the (sum, sum of squares) rows and the char-fn points, then, with
     keep_mu_nu, mu and nu at full length (the exact KS distance sorts them),
-    else None twice.
+    else None twice. Kept samples are capped at _MAX_KEPT_SAMPLES, checked
+    before any draw.
     """
     rt, count = math.sqrt(fs.n), mc.samples
+    if keep_mu_nu and count > _MAX_KEPT_SAMPLES:
+        raise CapacityExceeded(
+            f"{count} samples of mu and nu would hold {16 * count} bytes; "
+            f"the kept-sample cap is {_MAX_KEPT_SAMPLES} samples"
+        )
     s_abs = sorted({abs(s) for s, _ in grid})
     t_abs = sorted({abs(t) for _, t in grid})
     mu, nu = (np.empty(count), np.empty(count)) if keep_mu_nu else (None, None)
@@ -400,10 +410,14 @@ def ks_distance_to_normal(sample: np.ndarray, sigma2: float) -> float:
         raise DomainError(f"sample must be one-dimensional and nonempty, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise DomainError("sample must be finite")
-    x, n = np.sort(x), x.size
     if not 0 < sigma2 < math.inf:
         raise DomainError(f"sigma2 must be positive and finite, got {sigma2!r}")
-    scale = math.sqrt(2.0 * sigma2)
+    return _ks_sorted(np.sort(x), sigma2)
+
+
+def _ks_sorted(x: np.ndarray, sigma2: float) -> float:
+    """ks_distance_to_normal of an ascending, finite, nonempty float64 x."""
+    n, scale = x.size, math.sqrt(2.0 * sigma2)
 
     def terms(idx):
         cdf = np.array([0.5 * math.erfc(-v / scale) for v in x[idx].tolist()])
@@ -498,11 +512,19 @@ class CltReport:
     chain_audit: Optional[FinalChainAudit] = None
 
 
+def _ks_in_place(sample: np.ndarray) -> float:
+    """KS distance of the report's own mu or nu to N(0, 1/2); sorts sample in place."""
+    sample.sort()
+    return _ks_sorted(sample, 0.5)
+
+
 def clt_report(fs: FrequencySet, mc: McConfig, with_chain_audit: bool = False) -> CltReport:
     """Empirical (mu, nu) statistics against the Gaussian targets, from one chunked pass.
 
     The radial mean is sum |S| / N / sqrt(n), as in l1_monte_carlo. The KS
-    distances of mu and nu are taken on the worker pool, one each.
+    distances of mu and nu are taken on the worker pool, one each, each
+    sorting the report's own array in place, so the pass holds 16 bytes a
+    sample.
     """
     count, rt = mc.samples, math.sqrt(fs.n)
     if with_chain_audit and fs.n < 2:
@@ -514,7 +536,7 @@ def clt_report(fs: FrequencySet, mc: McConfig, with_chain_audit: bool = False) -
     (s_mu, s_mumu), (s_nu, s_nunu), (s_munu, _) = moments[1:4]
     gram = np.array([[s_mumu, s_munu], [s_munu, s_nunu]])
     gram -= np.outer([s_mu, s_nu], [s_mu, s_nu]) / count
-    ks_mu, ks_nu = _map_chunks(lambda v: ks_distance_to_normal(v, 0.5), [mu, nu])
+    ks_mu, ks_nu = _map_chunks(_ks_in_place, [mu, nu])
     audit = None
     if chain:
         radius, sigma2_z = chain

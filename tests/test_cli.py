@@ -126,6 +126,18 @@ def test_norms_mc_sample_cap_fails_fast(tmp_path, capsys):
     assert "MAX_MC_SAMPLES" in capsys.readouterr().err
 
 
+def test_clt_kept_sample_cap_fails_fast(tmp_path, capsys):
+    from lacsum.cltlab import _MAX_KEPT_SAMPLES
+
+    start = time.perf_counter()
+    code = run(["--runs-dir", str(tmp_path / "runs"), "clt", "--lacunary", "8,4",
+                "--samples", str(_MAX_KEPT_SAMPLES + 1)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert str(_MAX_KEPT_SAMPLES) in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_norms_p4_is_exact_beyond_the_quadrature_budget(tmp_path, capsys):
     code, out = run_in(tmp_path, "norms", "--p", "4", "--lacunary", "8,21", capsys=capsys)
     assert code == 0

@@ -1,4 +1,5 @@
 import cmath
+import gc
 import itertools
 import math
 import time
@@ -34,7 +35,7 @@ from lacsum import (
     w_remainder,
 )
 from lacsum import rng as lrng
-from lacsum.cltlab import _phase_rows, _truncated_abs_mean
+from lacsum.cltlab import _MAX_KEPT_SAMPLES, _phase_rows, _truncated_abs_mean
 from lacsum.errors import CapacityExceeded, DomainError
 from oracles import periodic_mean
 
@@ -580,21 +581,39 @@ def test_single_sample_reports_nan_uncertainty():
 
 def test_clt_report_memory_is_chunk_sized_plus_mu_nu(monkeypatch):
     # only mu and nu are kept at full length (16 bytes per sample), and the
-    # KS distance sorts a copy of one of them at a time (8 more)
+    # KS distances sort them in place, with no copy (24 bytes with one copy);
+    # one thread holds one chunk at a time, so the pass's own peak is fixed
     monkeypatch.setenv("LACSUM_THREADS", "1")
     fs = lacunary_set(8, 6)
     clt_report(fs, McConfig(samples=1000, seed=1), with_chain_audit=True)
     peaks = []
     tracemalloc.start()
     try:
-        for samples in (1 << 18, 1 << 19):
+        for samples in (1 << 20, 1 << 21):
+            gc.collect()  # garbage of earlier tests, freed mid-report, would lower the peak
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             clt_report(fs, McConfig(samples=samples, seed=1), with_chain_audit=True)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
-    assert (peaks[1] - peaks[0]) / (1 << 18) <= 40
+    assert (peaks[1] - peaks[0]) / (1 << 20) <= 20
+
+
+@pytest.mark.parametrize("keeper", [sample_mu_nu, clt_report])
+def test_kept_samples_are_capped_before_any_draw(keeper):
+    start = time.perf_counter()
+    with pytest.raises(CapacityExceeded, match=str(_MAX_KEPT_SAMPLES)):
+        keeper(lacunary_set(8, 4), McConfig(samples=_MAX_KEPT_SAMPLES + 1, seed=1))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_ks_distance_leaves_its_sample_unsorted():
+    # clt_report sorts its own mu and nu in place; the public function sorts a copy
+    mu, _ = sample_mu_nu(lacunary_set(8, 6), McConfig(samples=5000, seed=4))
+    kept = mu.copy()
+    ks_distance_to_normal(mu, 0.5)
+    assert np.array_equal(mu, kept)
 
 
 def test_empirical_char_fn_memory_is_chunk_sized(monkeypatch):

@@ -1,7 +1,9 @@
 import itertools
 import math
+import random
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from lacsum import (
     make_frequency_set,
     mian_chowla,
 )
+from lacsum import energy
 from lacsum.energy import MAX_PAIR_SUMS, MAX_SIDON_MARKS, MAX_WIDE_PAIR_SUMS
 from lacsum.errors import CapacityExceeded
 from lacsum.norms import fourth_moment_cos
@@ -197,3 +200,71 @@ def test_energy_capacity_guard(base, limit):
     with pytest.raises(CapacityExceeded, match=str(limit)):
         count_quadruple_solutions(fs)
     assert time.perf_counter() - start < 1.0
+
+
+def counter_energy(values):
+    """O(n^2) oracle: squared multiplicities of the n^2 ordered pair sums."""
+    sums = Counter(a + b for a in values for b in values)
+    return sum(c * c for c in sums.values())
+
+
+def spread(n, base, span, seed):
+    """n distinct ints from base to base + span, both ends included (span 0 when n = 1)."""
+    if n == 1:
+        return [base]
+    inner = random.Random(seed).sample(range(base + 1, base + span), n - 2)
+    return [base, *inner, base + span]
+
+
+# the largest span of each path for n values; the histogram takes 2 span + 1 bins
+PATH_SPANS = {
+    "histogram": lambda n: (min(4 * n * n, 1 << 20) - 1) // 2,
+    "sorted": lambda n: 1 << 40,
+    "wide": lambda n: (1 << 62) + 12345,
+}
+
+
+def spy_paths(monkeypatch):
+    """Record which numpy path the counter takes; neither means the Python-int path."""
+    taken = []
+    for path in ("histogram", "sorted"):
+        name = f"_{path}_energy"
+        inner = getattr(energy, name)
+        monkeypatch.setattr(energy, name, lambda *a, inner=inner, path=path: taken.append(path) or inner(*a))
+    return taken
+
+
+@pytest.mark.parametrize("path", sorted(PATH_SPANS))
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257])
+def test_energy_matches_counter_on_every_path(monkeypatch, n, path):
+    # tile edges at 128 and 256 values; signed values on every path
+    taken = spy_paths(monkeypatch)
+    freqs = spread(n, -(1 << 61) if path == "wide" else -5 * 10**6, PATH_SPANS[path](n), seed=n)
+    assert energy._pair_sum_energy(freqs) == counter_energy(freqs)
+    assert taken == (["histogram"] if n == 1 else [] if path == "wide" else [path])
+
+
+@pytest.mark.parametrize("path", sorted(PATH_SPANS))
+@pytest.mark.parametrize("n", [2, 64, 129])
+def test_fourth_moment_counts_f_and_minus_f_on_every_path(monkeypatch, n, path):
+    # F u -F has 2n values and twice F's largest value as its span
+    taken = spy_paths(monkeypatch)
+    freqs = spread(n, 1, PATH_SPANS[path](2 * n) // 2 - 1, seed=n)
+    both = freqs + [-k for k in freqs]
+    assert fourth_moment_cos(make_frequency_set(freqs)) == counter_energy(both) / 16
+    assert taken == ([] if path == "wide" else [path])
+
+
+def test_histogram_memory_is_tile_sized():
+    # h holds 2 * 10^5 bins (1.6 MB); binning all 4 * 10^6 ordered sums at
+    # once, in chunks of 2^20, peaked at ~11 MB
+    rng = np.random.default_rng(61)
+    fs = make_frequency_set(rng.choice(np.arange(1, 10**5), size=2000, replace=False).tolist())
+    tracemalloc.start()
+    try:
+        cert = holder_lower_bound(fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.energy == unique_energy(fs.freqs)
+    assert peak < 3 * 2**20
