@@ -165,7 +165,13 @@ def _mc_mean(cfg: McConfig, chunk_sums: Callable[[tuple, np.ndarray], np.ndarray
     that chunk's draws m, theta = m/2^63; the draw is bound nowhere here, so
     chunk_sums can free it once it has evaluated S. The per-chunk vectors are
     combined in the fixed _tree_reduce order.
+
+    numpy.random is imported here, on the caller's thread, before the pool
+    draws: rng names it only at call time, so a process that never samples
+    does not load it, and no first import runs on a worker thread.
     """
+    import numpy.random  # noqa: F401
+
     return _tree_reduce(_map_chunks(
         lambda item: chunk_sums(item, rng.chunk_uniform63(cfg.seed, rng.STREAM_THETA, *item)),
         rng.chunk_layout(cfg.samples, cfg.chunk_size),

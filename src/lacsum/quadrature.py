@@ -12,7 +12,8 @@ function. |S| has kinks at the zeros of S, so any panel that might contain
 a zero is bisected, to a fixed depth. A coarser first level saves nothing:
 at one panel per harmonic, lipschitz * width >= 2 pi > n >= max |S| for
 n <= 6, so every panel fails the kink test and is split anyway; 8 to 128
-points per period agree to 2e-15.
+points per period agree to 2e-15. The nodes and weights are literals, the
+bits of numpy's leggauss(8), so the rule loads no numpy.polynomial.
 
 The rule accepts k_max <= MAX_HARMONIC = 2^21, i.e. up to 2^27 first-level
 nodes; above it, FrequencyTooLarge sends callers to Monte Carlo. The limit
@@ -32,7 +33,16 @@ import numpy as np
 
 from .errors import FrequencyTooLarge
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+# 8-point Gauss-Legendre on [-1, 1]: the bits of numpy's leggauss(8),
+# written out so the rule loads no numpy.polynomial
+_GL_X = np.array([float.fromhex(h) for h in (
+    "-0x1.ebab1cb0acc66p-1", "-0x1.97e4ab249f41ep-1", "-0x1.0d129583284b4p-1", "-0x1.77ac94f3c7344p-3",
+    "0x1.77ac94f3c7344p-3", "0x1.0d129583284b4p-1", "0x1.97e4ab249f41ep-1", "0x1.ebab1cb0acc66p-1",
+)])
+_GL_W = np.array([float.fromhex(h) for h in (
+    "0x1.9ea1d04ca03aep-4", "0x1.c76fb531d2b94p-3", "0x1.413c50a25560ep-2", "0x1.736360b19933dp-2",
+    "0x1.736360b19933dp-2", "0x1.413c50a25560ep-2", "0x1.c76fb531d2b94p-3", "0x1.9ea1d04ca03aep-4",
+)])
 _X01 = (_GL_X + 1.0) / 2.0  # nodes on [0,1]
 _W01 = _GL_W / 2.0
 

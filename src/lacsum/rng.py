@@ -7,23 +7,29 @@ chunk partition, never on which worker produced it.
 Stream tags keep independent uses of the same seed apart:
   0  uniform theta draws, drawn only by norms._mc_mean for every Monte Carlo statistic
   1  the smoothing Gaussian Z of the CLT chain audit
+
+numpy.random (~6 MB of resident memory) is named here only at call time, as
+np.random.Philox and np.random.Generator, so a process that draws nothing
+(quadrature, energy, moments, exhaustive search) never loads it. The first
+draw would load it on whatever thread makes it, so norms._mc_mean, the
+driver of every draw on the worker pool, imports it on the caller's thread
+before the pool starts.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 STREAM_THETA = 0
 STREAM_Z = 1
 
 
-def _philox(seed: int, stream: int, chunk: int) -> Philox:
+def _philox(seed: int, stream: int, chunk: int) -> np.random.Philox:
     key = np.array(
         [np.uint64(seed & (2**64 - 1)), np.uint64((stream << 56) ^ chunk)],
         dtype=np.uint64,
     )
-    return Philox(key=key)
+    return np.random.Philox(key=key)
 
 
 def chunk_uniform63(seed: int, stream: int, chunk: int, count: int) -> np.ndarray:
@@ -40,7 +46,7 @@ def chunk_uniform63(seed: int, stream: int, chunk: int, count: int) -> np.ndarra
 
 def chunk_gaussian_pairs(seed: int, stream: int, chunk: int, count: int, sigma: float) -> np.ndarray:
     """count iid N(0, sigma^2) pairs, shape (count, 2)."""
-    rg = Generator(_philox(seed, stream, chunk))
+    rg = np.random.Generator(_philox(seed, stream, chunk))
     return sigma * rg.standard_normal((count, 2))
 
 

@@ -218,6 +218,16 @@ def test_panel_count_scales_with_harmonic():
         panel_count(2**21 + 1)
 
 
+def test_gauss_legendre_literals_are_leggauss_bits():
+    # the rule's literals are numpy's own 8-point rule, bit for bit
+    x, w = np.polynomial.legendre.leggauss(8)
+    assert quadrature._GL_X.tobytes() == x.tobytes()
+    assert quadrature._GL_W.tobytes() == w.tobytes()
+    # on [0, 1] it integrates every x^k, k <= 15, to 1/(k+1)
+    for k in range(16):
+        assert abs(float(quadrature._W01 @ quadrature._X01**k) - 1 / (k + 1)) <= 4e-16, k
+
+
 def test_mc_singleton_exact():
     est = l1_monte_carlo(make_frequency_set([5]), McConfig(samples=10_000, seed=0))
     assert est.value == 1.0

@@ -1,5 +1,6 @@
 """The lazy package namespace: what `import lacsum` and each CLI command load, and on which thread."""
 
+import functools
 import importlib
 import os
 import pkgutil
@@ -18,6 +19,24 @@ SUBMODULES = ["cli", "cltlab", "energy", "errors", "frequency", "norms", "quadra
 def _python(*args, env=None):
     env = {**os.environ, "PYTHONPATH": str(SRC), **(env or {})}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, check=True)
+
+
+# Only Monte Carlo draws random numbers, and the L1 rule's nodes are literals,
+# so the exact layers load neither of these numpy submodules.
+SAMPLING_ONLY = ("numpy.random", "numpy.polynomial")
+
+
+@functools.cache
+def _loaded_by_bare_numpy() -> tuple:
+    """The SAMPLING_ONLY modules a bare `import numpy` loads (numpy 1.x loads both eagerly)."""
+    code = f"import sys, numpy\nprint(*(m for m in {SAMPLING_ONLY!r} if m in sys.modules))"
+    return tuple(_python("-c", code).stdout.split())
+
+
+def _skip_where_numpy_loads_them():
+    eager = _loaded_by_bare_numpy()
+    if eager:
+        pytest.skip(f"a bare `import numpy` loads {', '.join(eager)} with this numpy")
 
 
 def test_every_public_name_is_its_submodules_own_object():
@@ -46,7 +65,7 @@ def test_import_lacsum_loads_no_layer():
     code = (
         "import sys, lacsum\n"
         "print(sorted(m for m in ('lacsum.norms', 'lacsum.cltlab', 'lacsum.search', 'numpy.random',"
-        " 'concurrent.futures') if m in sys.modules))\n"
+        " 'numpy.polynomial', 'concurrent.futures') if m in sys.modules))\n"
     )
     assert _python("-c", code).stdout.strip() == "[]"
 
@@ -57,6 +76,33 @@ def test_cli_eval_loads_only_its_layer():
     imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
     assert "lacsum.frequency" in imported
     assert imported.isdisjoint({"lacsum.norms", "lacsum.cltlab", "lacsum.search"})
+
+
+def test_exact_layers_load_no_sampling_module():
+    # every kind of call the bench's exact workload makes
+    _skip_where_numpy_loads_them()
+    code = (
+        "import sys, lacsum\n"
+        "fs = lacsum.make_frequency_set([1, 2, 6, 7])\n"
+        "for p in (1, 2, 4):\n"
+        "    lacsum.lp_norm_quadrature(fs, p)\n"
+        "lacsum.exhaustive_sigma(3, 12)\n"
+        "sidon = lacsum.mian_chowla(20)\n"
+        "lacsum.holder_lower_bound(sidon), lacsum.is_sidon(sidon)\n"
+        "f4 = lacsum.lacunary_set(8, 4)\n"
+        "lacsum.alpha_mean(f4, 0.5, 1.0), lacsum.product_moment(f4, [1, 0, 1, 1], [0, 1, 0, 1], 0.5, 1.0)\n"
+        "lacsum.fourth_moment_cos(f4)\n"
+        f"print(sorted(m for m in {SAMPLING_ONLY!r} + ('lacsum.quadrature', 'lacsum.search') if m in sys.modules))\n"
+    )
+    assert _python("-c", code).stdout.strip() == "['lacsum.quadrature', 'lacsum.search']"
+
+
+def test_cli_search_loads_no_sampling_module():
+    _skip_where_numpy_loads_them()
+    out = _python("-X", "importtime", "-m", "lacsum.cli", "--no-record", "search", "--n", "3", "--max-freq", "12")
+    imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
+    assert {"lacsum.search", "lacsum.quadrature", "lacsum.rng"} <= imported
+    assert imported.isdisjoint(SAMPLING_ONLY)
 
 
 def test_every_import_fires_on_the_main_thread():
