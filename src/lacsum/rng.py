@@ -47,7 +47,9 @@ def chunk_uniform63(seed: int, stream: int, chunk: int, count: int) -> np.ndarra
 def chunk_gaussian_pairs(seed: int, stream: int, chunk: int, count: int, sigma: float) -> np.ndarray:
     """count iid N(0, sigma^2) pairs, shape (count, 2)."""
     rg = np.random.Generator(_philox(seed, stream, chunk))
-    return sigma * rg.standard_normal((count, 2))
+    z = rg.standard_normal((count, 2))
+    z *= sigma  # in place: the same IEEE products without a second array
+    return z
 
 
 def chunk_layout(total: int, chunk_size: int) -> list[tuple[int, int]]:

@@ -35,7 +35,7 @@ from lacsum import (
     w_remainder,
 )
 from lacsum import rng as lrng
-from lacsum.cltlab import _MAX_KEPT_SAMPLES, _phase_rows, _truncated_abs_mean
+from lacsum.cltlab import _GRID_PIECE, _MAX_KEPT_SAMPLES, _phase_rows, _truncated_abs_mean
 from lacsum.errors import CapacityExceeded, DomainError
 from oracles import periodic_mean
 
@@ -347,6 +347,25 @@ def test_empirical_char_fn_matches_per_point_reference():
         assert pt.gaussian == math.exp(-(pt.s**2 + pt.t**2) / 4)
 
 
+def test_char_fn_sums_across_grid_pieces(monkeypatch):
+    # three full pieces and a ragged one per chunk; the last chunk is one full
+    # piece and a ragged one
+    fs = lacunary_set(8, 6)
+    chunk = 3 * _GRID_PIECE + 100
+    mc = McConfig(samples=2 * chunk + _GRID_PIECE + 904, seed=29, chunk_size=chunk)
+    mu, nu = sample_mu_nu(fs, mc)
+    for pt in empirical_char_fn(fs, default_phi_grid(), mc):
+        z = np.exp(1j * (pt.s * mu + pt.t * nu))
+        se = math.sqrt((z.real.var(ddof=1) + z.imag.var(ddof=1)) / z.size)
+        assert abs(pt.phi - z.mean()) <= 1e-13, (pt.s, pt.t)
+        assert abs(pt.std_error - se) <= 1e-13, (pt.s, pt.t)
+    reports = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("LACSUM_THREADS", workers)
+        reports.append(asdict(clt_report(fs, mc)))
+    assert reports[0] == reports[1]
+
+
 def test_empirical_char_fn_rejects_non_finite_points():
     mc = McConfig(samples=1000, seed=0)
     for bad in ((math.nan, 0.0), (1.0, math.inf), (-math.inf, 1.0)):
@@ -598,6 +617,24 @@ def test_clt_report_memory_is_chunk_sized_plus_mu_nu(monkeypatch):
     finally:
         tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / (1 << 20) <= 20
+
+
+def test_clt_report_grid_rows_are_piece_sized(monkeypatch):
+    # beyond the kept mu and nu, one worker holds one chunk's kernel rows, S,
+    # mu, nu and chain arrays (~3.5 MiB at the default 2^16 points); the
+    # grid's phase rows, 8 MB for a whole chunk, are built a piece at a time
+    monkeypatch.setenv("LACSUM_THREADS", "1")
+    fs, mc = lacunary_set(8, 16), McConfig(samples=10**6, seed=1)
+    clt_report(fs, McConfig(samples=1000, seed=1), with_chain_audit=True)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        clt_report(fs, mc, with_chain_audit=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (peak - 16 * mc.samples) / (1 << 20) <= 5
 
 
 @pytest.mark.parametrize("keeper", [sample_mu_nu, clt_report])
