@@ -53,6 +53,9 @@ _MAX_KEPT_SAMPLES = 10**8
 # the same peak, and took ~4% longer from twice the numpy calls.
 _GRID_PIECE = 1 << 13
 
+# FinalChainAudit.inequalities allows each check this many combined standard errors.
+_AUDIT_SIGMAS = 4.0
+
 
 # ---------------------------------------------------------------------------
 # The remainder w and the alpha/beta decomposition
@@ -467,8 +470,8 @@ class FinalChainAudit:
     e_abs_yz_trunc: ValueWithError
     e_abs_z: ValueWithError
 
-    def inequalities(self, sigmas: float = 4.0) -> list[dict]:
-        """Each chain inequality as lhs >= rhs - sigmas * combined std error.
+    def inequalities(self) -> list[dict]:
+        """Each chain inequality as lhs >= rhs - _AUDIT_SIGMAS * combined std error.
 
         None can fail at any practical n: two compare a mean with its own
         truncation, and the triangle inequality holds by 0.59 against a slack
@@ -476,7 +479,7 @@ class FinalChainAudit:
         with e_abs_yz_trunc, the step where the paper's CLT enters (ROADMAP item 3).
         """
         def check(name, lhs, rhs, *errs):
-            slack = sigmas * math.sqrt(sum(e * e for e in errs))
+            slack = _AUDIT_SIGMAS * math.sqrt(sum(e * e for e in errs))
             return {
                 "name": name,
                 "lhs": lhs,

@@ -8,10 +8,10 @@ double-precision products lose all phase information.
 
 Every bulk evaluation (Monte Carlo, quadrature, the alpha/beta products)
 goes through one kernel, which takes each phase as an exact 64-bit fraction
-and e^{2 pi i phase} from a table; only this module builds its multipliers.
-sum_components_dyadic evaluates one set at Monte Carlo draws, sum_values one
-set at float theta, and sum_values_sets several, each at its own nodes (the
-L1 pool). evaluate_sum is the scalar libm reference.
+and e^{2 pi i phase} from a table; only this module builds its multipliers,
+one uint64 scalar per frequency. sum_components_dyadic evaluates one set at
+Monte Carlo draws, and sum_values one set at float theta (the L1 quadrature
+nodes). evaluate_sum is the scalar libm reference.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -219,9 +219,8 @@ def _multipliers(freqs: tuple, factor: int) -> tuple:
 def _add_unit_roots(mults, m: np.ndarray, out: np.ndarray) -> None:
     """out += sum_k e^{2 pi i w_k / 2^64}, out complex128 and shaped like m.
 
-    w_k = mult_k m wraps in uint64. Each multiplier is a uint64 scalar, the
-    same at every point, or a uint64 array shaped like m, one per point. m
-    is split into _BLOCK-point blocks that share one work buffer; within a
+    w_k = mult_k m wraps in uint64, each multiplier a uint64 scalar. m is
+    split into _BLOCK-point blocks that share one work buffer; within a
     block the frequencies are added in order, as a per-frequency loop over
     all of m would.
     """
@@ -237,7 +236,7 @@ def _add_unit_roots(mults, m: np.ndarray, out: np.ndarray) -> None:
         x, poly = term.view(np.float64)[:n], term.view(np.float64)[n:]
         term_parts, w_signed = term.view(np.float64).reshape(n, 2), w.view(np.int64)
         for mult in mults:
-            np.multiply(m[lo : lo + n], mult if mult.ndim == 0 else mult[lo : lo + n], out=w)
+            np.multiply(m[lo : lo + n], mult, out=w)
             np.right_shift(w, _LOW_BITS, out=top_u)
             np.bitwise_and(w, _LOW_MASK, out=w)
             x[...] = w_signed  # < 2^51: exact, and int64 converts faster than uint64
@@ -291,29 +290,15 @@ def sum_values(fs: FrequencySet, thetas) -> np.ndarray:
     then takes every phase k m mod 2^64 exactly.
     """
     th = np.asarray(thetas, dtype=np.float64)
-    return _sums(_multipliers(fs.freqs, 1), th.reshape(-1)).reshape(th.shape)
-
-
-def sum_values_sets(sets: Sequence[FrequencySet], levels: Sequence[np.ndarray]) -> np.ndarray:
-    """S at each level's nodes for that level's own set, in one kernel call, as one flat array.
-
-    The sets are of one size. Each node takes its set's frequencies as its
-    own multipliers, so it gets, bit for bit, what sum_values of its set gives.
-    """
-    rows = np.repeat(np.array([fs.freqs for fs in sets], dtype=np.uint64).T, [t.size for t in levels], axis=1)
-    return _sums(rows, np.concatenate(levels, axis=None, dtype=np.float64))
-
-
-def _sums(mults, th: np.ndarray) -> np.ndarray:
-    """S at a flat float64 array of theta, taken mod 1, for the multipliers of _add_unit_roots."""
+    flat = th.reshape(-1)
     # theta - floor(theta) is np.mod(theta, 1.0) bit for bit: both round the
     # exact fraction once. np.mod goes through libm fmod at ~20 ns a point.
-    frac = np.floor(th)
-    np.subtract(th, frac, out=frac)
+    frac = np.floor(flat)
+    np.subtract(flat, frac, out=frac)
     np.ldexp(frac, 64, out=frac)
     frac[frac == 2.0**64] = 0.0  # a tiny negative theta rounds to 1 mod 1
     m = frac.astype(np.uint64)
     del frac
     out = np.zeros(m.size, dtype=np.complex128)
-    _add_unit_roots(mults, m, out)
-    return out
+    _add_unit_roots(_multipliers(fs.freqs, 1), m, out)
+    return out.reshape(th.shape)

@@ -12,6 +12,9 @@ norms of nested prefixes {k_1..k_n} (the convergence study) take one draw of
 theta and one running sum of S; l1_monte_carlo is the case of a single prefix.
 |S| is _abs of the sum's parts, with no libm call, so the Monte Carlo
 payloads are the same bits on every IEEE platform.
+
+lp_norm_quadrature measures one set per call with the one L1 rule
+(quadrature.integrate_abs_adaptive); the search calls it once per candidate.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,19 +32,12 @@ from . import rng
 from .energy import _pair_sum_energy, count_quadruple_solutions
 from .errors import BudgetExceeded, FrequencyTooLarge
 from .frequency import FrequencySet, canonicalize
-from .quadrature import MAX_HARMONIC, abs_rule, integrate_abs_adaptive
+from .quadrature import MAX_HARMONIC, integrate_abs_adaptive
 
 MAX_MC_SAMPLES = 10**10
 # One pass holds a task and a result per chunk. 2^18 is the least power of two
 # that admits the default chunk at MAX_MC_SAMPLES (152 588 chunks).
 MAX_CHUNKS = 1 << 18
-
-# The most panels of several sets in one kernel call of l1_quadrature_many.
-# At 2^10 panels, 2^13 nodes, the kernel takes ~37 ns a node for 3
-# frequencies on a 2-vCPU Xeon, against ~49 ns at 2^15 nodes, where its work
-# rows leave the cache, and ~75 ns at 2^10 nodes, where its per-call cost shows.
-GROUP_PANELS = 1 << 10
-
 
 @dataclass(frozen=True)
 class McConfig:
@@ -74,7 +70,7 @@ class NormEstimate:
     n: int
     seed: Optional[int] = None
     samples: Optional[int] = None
-    error_bound: Optional[float] = None  # quadrature only: see quadrature.abs_rule
+    error_bound: Optional[float] = None  # quadrature only: see quadrature.integrate_abs_adaptive
 
 
 def num_workers() -> int:
@@ -212,28 +208,14 @@ def lp_norm_quadrature(fs: FrequencySet, p: int) -> NormEstimate:
     if p != 1:
         value = math.sqrt(fs.n) if p == 2 else count_quadruple_solutions(fs) ** 0.25
         return NormEstimate(p=p, value=value, normalized=None, std_error=None, method="exact", n=fs.n)
-    c = _canonical(fs)
-    value, bound = integrate_abs_adaptive(lambda th: np.abs(fq.sum_values(c, th)), _lipschitz(c), c.k_max)
-    return _l1_quadrature_estimate(fs, value, bound)
-
-
-def _canonical(fs: FrequencySet) -> FrequencySet:
-    """canonicalize(fs), the set the L1 rule runs on; FrequencyTooLarge if its k_max is over the limit."""
     c = canonicalize(fs)
     if c.k_max > MAX_HARMONIC:
         raise FrequencyTooLarge(
             f"k_max {fs.k_max} (canonical k_max {c.k_max}) exceeds the quadrature limit {MAX_HARMONIC}; "
             "use Monte Carlo instead"
         )
-    return c
-
-
-def _lipschitz(fs: FrequencySet) -> float:
-    """2 pi sum k, a bound on |S'|."""
-    return 2.0 * math.pi * sum(fs.freqs)
-
-
-def _l1_quadrature_estimate(fs: FrequencySet, value: float, bound: float) -> NormEstimate:
+    lipschitz = 2.0 * math.pi * sum(c.freqs)  # bounds |S'|
+    value, bound = integrate_abs_adaptive(lambda th: np.abs(fq.sum_values(c, th)), lipschitz, c.k_max)
     return NormEstimate(
         p=1,
         value=value,
@@ -243,53 +225,6 @@ def _l1_quadrature_estimate(fs: FrequencySet, value: float, bound: float) -> Nor
         n=fs.n,
         error_bound=bound,
     )
-
-
-def l1_quadrature_many(sets: Iterable[FrequencySet]) -> Iterator[tuple[FrequencySet, NormEstimate]]:
-    """(fs, lp_norm_quadrature(fs, 1)) for each set, in order and bit for bit, in shared kernel passes.
-
-    Each set runs its own quadrature.abs_rule on its canonical set, as
-    lp_norm_quadrature does, and sees only its own values; this only pools
-    the rules' kernel calls. sets may be a lazy stream: a set is admitted
-    while the nodes pending evaluation stay below GROUP_PANELS * 8. The
-    pending levels of consecutive sets of one size go to one
-    frequency.sum_values_sets call within that budget; a run of one set,
-    such as a level larger than the budget, goes to frequency.sum_values.
-    search.exhaustive_sigma, which streams its candidates, is the one caller.
-    """
-    budget = GROUP_PANELS * 8
-    sets = iter(sets)
-    order = deque()  # [fs, estimate or None] per admitted set, in input order
-    pending = []     # (slot of order, canonical set, rule, nodes) per set still refining, in input order
-    while True:
-        size = sum(nodes.size for *_, nodes in pending)
-        while size < budget and (fs := next(sets, None)) is not None:
-            order.append(slot := [fs, None])
-            c = _canonical(fs)
-            rule = abs_rule(_lipschitz(c), c.k_max)
-            pending.append((slot, c, rule, next(rule)))
-            size += pending[-1][3].size
-        if not pending:
-            return
-        # the first run of pending sets of one size within the budget, or the first set alone
-        run = total = 0
-        for _, c, _, nodes in pending:
-            if run and (c.n != pending[0][1].n or total + nodes.size > budget):
-                break
-            run, total = run + 1, total + nodes.size
-        _, group, _, levels = zip(*pending[:run])
-        vals = np.abs(fq.sum_values(group[0], levels[0]) if run == 1 else fq.sum_values_sets(group, levels))
-        refining, at = [], 0
-        for slot, c, rule, nodes in pending[:run]:
-            at += nodes.size
-            try:
-                refining.append((slot, c, rule, rule.send(vals[at - nodes.size : at])))
-            except StopIteration as done:
-                slot[1] = _l1_quadrature_estimate(slot[0], *done.value)
-        pending[:run] = refining
-        del vals, levels  # freed before the next level is evaluated
-        while order and order[0][1] is not None:
-            yield tuple(order.popleft())
 
 
 def l1_monte_carlo(fs: FrequencySet, cfg: McConfig) -> NormEstimate:

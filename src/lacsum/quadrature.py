@@ -1,19 +1,17 @@
 """Adaptive composite Gauss-Legendre quadrature of |S| on [0,1].
 
-There is one rule: 8-point Gauss-Legendre on 8 first-level panels per unit
-of the highest harmonic k_max (64 nodes per period). Its callers in norms
-run it on the canonical set (frequency.canonicalize): |S| of a*k + b is |S|
-of k at a*theta, so the norm is the same and the cost follows the canonical
-k_max, not the given one. abs_rule runs it on one integrand as a generator
-that yields each level's nodes and is sent the values there, so a caller
-may pool many integrands' levels in one evaluation (norms.l1_quadrature_many
-calls frequency.sum_values_sets); integrate_abs_adaptive drives it with one
-function. |S| has kinks at the zeros of S, so any panel that might contain
-a zero is bisected, to a fixed depth. A coarser first level saves nothing:
-at one panel per harmonic, lipschitz * width >= 2 pi > n >= max |S| for
-n <= 6, so every panel fails the kink test and is split anyway; 8 to 128
-points per period agree to 2e-15. The nodes and weights are literals, the
-bits of numpy's leggauss(8), so the rule loads no numpy.polynomial.
+There is one rule, integrate_abs_adaptive: 8-point Gauss-Legendre on 8
+first-level panels per unit of the highest harmonic k_max (64 nodes per
+period), one integrand evaluation per level. norms.lp_norm_quadrature runs
+it on the canonical set (frequency.canonicalize): |S| of a*k + b is |S| of
+k at a*theta, so the norm is the same and the cost follows the canonical
+k_max, not the given one. |S| has kinks at the zeros of S, so any panel
+that might contain a zero is bisected, to a fixed depth. A coarser first
+level saves nothing: at one panel per harmonic, lipschitz * width >= 2 pi
+> n >= max |S| for n <= 6, so every panel fails the kink test and is split
+anyway; 8 to 128 points per period agree to 2e-15. The nodes and weights
+are literals, the bits of numpy's leggauss(8), so the rule loads no
+numpy.polynomial.
 
 The rule accepts k_max <= MAX_HARMONIC = 2^21, i.e. up to 2^27 first-level
 nodes; above it, FrequencyTooLarge sends callers to Monte Carlo. The limit
@@ -27,7 +25,7 @@ norms.lp_norm_quadrature).
 
 from __future__ import annotations
 
-from typing import Callable, Generator
+from typing import Callable
 
 import numpy as np
 
@@ -70,18 +68,18 @@ def panel_count(max_harmonic: int) -> int:
     return _PANELS_PER_HARMONIC * max_harmonic
 
 
-def abs_rule(lipschitz: float, max_harmonic: int) -> Generator[np.ndarray, np.ndarray, tuple[float, float]]:
-    """The rule on one nonnegative lipschitz-Lipschitz function with kinks at its zeros, as a generator.
+def integrate_abs_adaptive(
+    absfn: Callable[[np.ndarray], np.ndarray], lipschitz: float, max_harmonic: int
+) -> tuple[float, float]:
+    """(integral, bound) over [0,1] of a nonnegative lipschitz-Lipschitz function with kinks at its zeros.
 
-    It yields the nodes of each level, is sent the function's values at
-    them, and returns (integral, bound). A panel is accepted once its node
-    minimum exceeds lipschitz * width (so the panel cannot reach zero), else
-    bisected; at depth _MAX_DEPTH it is accepted anyway, within lipschitz *
-    width^2, and bound sums those. Panels that passed the kink test are not
-    in bound: the rule is accurate to <= 2.2e-15 on every closed form
-    tested. The first level goes in blocks of _BLOCK_PANELS panels, each
-    refined before the next is evaluated. The result depends only on the
-    values sent, not on who evaluated the nodes or with what else.
+    absfn evaluates the function at each level's nodes. A panel is accepted
+    once its node minimum exceeds lipschitz * width (so the panel cannot
+    reach zero), else bisected; at depth _MAX_DEPTH it is accepted anyway,
+    within lipschitz * width^2, and bound sums those. Panels that passed the
+    kink test are not in bound: the rule is accurate to <= 2.2e-15 on every
+    closed form tested. The first level goes in blocks of _BLOCK_PANELS
+    panels, each refined before the next is evaluated.
     """
     npanels = panel_count(max_harmonic)
     total = bound = 0.0
@@ -90,7 +88,7 @@ def abs_rule(lipschitz: float, max_harmonic: int) -> Generator[np.ndarray, np.nd
         width = 1.0 / npanels
         lip_width = lipschitz * width
         for depth in range(_MAX_DEPTH + 1):
-            vals = (yield (lefts[:, None] + width * _X01).ravel()).reshape(-1, 8)
+            vals = absfn((lefts[:, None] + width * _X01).ravel()).reshape(-1, 8)
             # the kink test: some node of the panel is below lipschitz * width;
             # a panel's 8 comparisons are the 8 bytes of one uint64
             suspect = (vals < lip_width).view(np.uint64)[:, 0] != 0
@@ -106,16 +104,3 @@ def abs_rule(lipschitz: float, max_harmonic: int) -> Generator[np.ndarray, np.nd
             lip_width /= 2.0  # lipschitz * width: halving is exact
             lefts[1::2] += width
     return total, bound
-
-
-def integrate_abs_adaptive(
-    absfn: Callable[[np.ndarray], np.ndarray], lipschitz: float, max_harmonic: int
-) -> tuple[float, float]:
-    """(integral, bound) of abs_rule(lipschitz, max_harmonic), each level's nodes evaluated by absfn."""
-    rule = abs_rule(lipschitz, max_harmonic)
-    nodes = next(rule)
-    while True:
-        try:
-            nodes = rule.send(absfn(nodes))
-        except StopIteration as done:
-            return done.value

@@ -192,7 +192,7 @@ def test_criterion_11_final_chain_audit():
         lacunary_set(8, 16), McConfig(samples=10**6, seed=3), with_chain_audit=True
     )
     audit: FinalChainAudit = rep.chain_audit
-    checks = audit.inequalities(sigmas=4.0)
+    checks = audit.inequalities()
     ok = all(c["ok"] for c in checks)
     detail = "; ".join(f"{c['name']}: {'ok' if c['ok'] else 'VIOLATED'}" for c in checks)
     _report(11, "final-chain audit", ok, detail)

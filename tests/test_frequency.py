@@ -229,28 +229,6 @@ def test_sum_values_matches_scalar_reference():
     assert fq.sum_values(fs, -1e-300) == 5.0  # -1e-300 mod 1 rounds to 1, which wraps to 0
 
 
-@pytest.mark.parametrize("size", [0, 1, 2**15 - 1, 2**15 + 1, 70_001])
-def test_sum_values_rows_give_each_point_its_own_set(size):
-    # sum_values_sets gives each node a row of its own set's multipliers, in
-    # one kernel call: each node, bit for bit, the sum_values of its own
-    # level's set, across the kernel's block edges
-    rg = np.random.default_rng(size)
-    sets = [make_frequency_set([1, 2, 6]), make_frequency_set([3, 10, 8**21]), lacunary_set(7, 3),
-            make_frequency_set([2**63 + 1, 2**64 - 5, 2**64 - 1])]
-    th = rg.random(size)
-    th[::5] = 0.0  # m = 0
-    th[1::7] = rg.integers(0, 2**13, size=th[1::7].size) / 2**13  # exact table points
-    th[2::11] = -rg.random(th[2::11].size)
-    cuts = np.sort(rg.integers(0, size + 1, size=7))
-    levels = np.split(th, cuts)  # 8 levels, some of them empty
-    owners = [sets[g] for g in rg.integers(0, len(sets), size=len(levels))]
-    got = fq.sum_values_sets(owners, levels)
-    assert got.shape == th.shape
-    for fs, level, part in zip(owners, levels, np.split(got, cuts)):
-        want = fq.sum_values(fs, level)
-        assert np.array_equal(part.view(np.uint64), want.view(np.uint64))
-
-
 def test_freqs_file_roundtrip(tmp_path):
     fs = make_frequency_set([1, 8, 64, 4097])
     path = tmp_path / "freqs.txt"

@@ -29,7 +29,7 @@ from lacsum import frequency, quadrature, rng
 from lacsum.energy import count_quadruple_solutions
 from lacsum.errors import BudgetExceeded, FrequencyTooLarge
 from lacsum.frequency import sum_components_dyadic, sum_values
-from lacsum.norms import GROUP_PANELS, MAX_CHUNKS, MAX_MC_SAMPLES, _abs, _map_chunks, l1_quadrature_many, num_workers
+from lacsum.norms import MAX_CHUNKS, MAX_MC_SAMPLES, _abs, _map_chunks, num_workers
 from lacsum.quadrature import MAX_HARMONIC, panel_count
 from oracles import l1_1_2_4_5_6_7_9_10, l1_1_2_6_7, midpoint_l1, periodic_mean
 
@@ -85,12 +85,12 @@ def test_l1_shift_and_dilation_invariance():
 
 def test_l1_rule_measures_the_canonical_set():
     # shifted and dilated copies of a set get its canonical set's estimate,
-    # bit for bit, alone and pooled; the estimate still describes the copy
+    # bit for bit; the estimate still describes the copy
     bases = [make_frequency_set(f) for f in ([1, 2], [1, 4, 11], [1, 2, 6, 7], [1, 3, 8, 9, 12])]
     copies = [make_frequency_set([a * k + b for k in fs.freqs]) for fs in bases for a, b in ((1, 7), (5, 0), (3, 2))]
     assert all(canonicalize(fs) is fs for fs in bases)
-    for fs, pooled in l1_quadrature_many(copies):
-        assert pooled == lp_norm_quadrature(fs, 1) == lp_norm_quadrature(canonicalize(fs), 1)
+    for fs in copies:
+        assert lp_norm_quadrature(fs, 1) == lp_norm_quadrature(canonicalize(fs), 1)
 
 
 def test_l1_canonical_set_sets_the_limit():
@@ -128,41 +128,6 @@ def test_l1_quadrature_memory_is_block_sized():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**21
-
-
-def test_many_owner_levels_stay_within_their_budget(monkeypatch):
-    # 200 canonical three-sets {1, 2, k}, around two sets whose first level
-    # spans two blocks of _BLOCK_PANELS panels. A kernel call of several
-    # sets (sum_values_sets) holds at most GROUP_PANELS * 8 nodes, a larger
-    # level goes alone (sum_values), and every set gets what it gets alone,
-    # bit for bit
-    sets = (
-        [make_frequency_set([1, 2, 3 + o % 6]) for o in range(100)]
-        + [make_frequency_set([1, 2, 2**14 + 1]), make_frequency_set([1, 3, 2**14 + 2])]
-        + [make_frequency_set([1, 2, 3 + o % 5]) for o in range(100)]
-    )
-    calls = []
-
-    def recorded(kernel, pooled):
-        def call(fs, thetas):
-            calls.append((pooled, sum(t.size for t in thetas) if pooled else thetas.size))
-            return kernel(fs, thetas)
-        return call
-
-    monkeypatch.setattr(frequency, "sum_values_sets", recorded(frequency.sum_values_sets, True))
-    monkeypatch.setattr(frequency, "sum_values", recorded(frequency.sum_values, False))
-    results = list(l1_quadrature_many(sets))
-    monkeypatch.undo()
-    assert max(size for _, size in calls) == 8 * quadrature._BLOCK_PANELS
-    assert all(size <= 8 * GROUP_PANELS for pooled, size in calls if pooled)
-    assert any(pooled for pooled, _ in calls)
-    assert [fs for fs, _ in results] == sets
-
-    def alone(fs):
-        return quadrature.integrate_abs_adaptive(lambda th: np.abs(sum_values(fs, th)), 2 * np.pi * sum(fs), fs.k_max)
-
-    for fs, est in results:
-        assert (est.value, est.error_bound) == alone(fs)
 
 
 @pytest.mark.parametrize(
@@ -317,6 +282,16 @@ def test_payload_bits_are_pinned():
         ("0x1.1efa302bba4a9p-2", "-0x1.49f264886ef1dp-10", "0x1.db8d79a5518c8p-9"),
         ("0x1.24d2cad191d3bp-2", "-0x1.80b2dcfbdd8aep-10", "0x1.dab7b5c3d8891p-9"),
         ("0x1.03621efbdbcc4p-3", "-0x1.7fb5872f91498p-11", "0x1.eb6a833080d69p-9"),
+    ]
+    # a default 2^16-point chunk sums its char-fn grid over eight pieces of
+    # cltlab._GRID_PIECE points; an 8 192-point chunk above is one piece
+    report = clt_report(lacunary_set(8, 16), McConfig(70_001, seed=3), with_chain_audit=True)
+    phi = {(p.s, p.t): (p.phi.real.hex(), p.phi.imag.hex(), p.std_error.hex()) for p in report.phi_grid}
+    assert [phi[st] for st in ((0.5, 0.5), (1.0, -2.0), (-2.0, 1.0), (2.0, 2.0))] == [
+        ("0x1.c36a7ee295625p-1", "-0x1.0d02c4715fddfp-14", "0x1.d386f3a36a2aep-10"),
+        ("0x1.1c07c22860feep-2", "0x1.4cca1866bc35fp-10", "0x1.dbf77062666bbp-9"),
+        ("0x1.1b3e8c5393337p-2", "-0x1.89f452a4a6381p-9", "0x1.dc1302b765eecp-9"),
+        ("0x1.019ed51d3a387p-3", "-0x1.b90e3ca9d0f6fp-10", "0x1.eb7841821f1f0p-9"),
     ]
 
 

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from lacsum import (
     make_frequency_set,
 )
 from lacsum.errors import DomainError, SearchSpaceTooLarge
-from lacsum.norms import l1_quadrature_many
 from lacsum.search import _canonical_candidates
 
 
@@ -85,25 +86,60 @@ def test_exhaustive_four_frequencies_regression():
     assert r.value_error == lp_norm_quadrature(r.best_set, 1).error_bound / 2
 
 
-@pytest.mark.parametrize("n, max_freq", [(3, 12), (4, 8)])
-def test_batched_l1_is_lp_norm_quadrature_bit_for_bit(n, max_freq):
-    # the search measures its candidates in groups; each value and bound is
-    # still the one-set rule's, and (4, 8) holds {1,2,6,7} with its double zero
-    candidates = list(_canonical_candidates(n, max_freq))
-    batched = list(l1_quadrature_many(candidates))
-    assert [fs for fs, _ in batched] == candidates
-    for fs, est in batched:
-        alone = lp_norm_quadrature(fs, 1)
-        assert (est.value, est.error_bound, est.normalized) == (alone.value, alone.error_bound, alone.normalized)
-    # a mixed stream: sizes change, a set too large to group goes alone, and
-    # the first level of {1, 2, 2^14 + 1} spans two blocks
-    mixed = [
-        make_frequency_set(f)
-        for f in ([1, 2], [2, 5], [1, 3, 2**10], [1, 2, 2**14 + 1], [1, 2, 6, 7], [1, 3, 5, 6], [3, 4])
-    ]
-    for fs, est in l1_quadrature_many(mixed):
-        alone = lp_norm_quadrature(fs, 1)
-        assert (est.value, est.error_bound) == (alone.value, alone.error_bound)
+def _mirror(freqs):
+    return tuple(1 + freqs[-1] - k for k in reversed(freqs))
+
+
+@lru_cache(maxsize=None)
+def _every_canonical_set(n, max_freq):
+    """Every canonical n-set with entries <= max_freq, by brute force, in lexicographic order."""
+    sets = (make_frequency_set(c) for c in combinations(range(1, max_freq + 1), n))
+    return tuple(fs for fs in sets if canonicalize(fs) is fs)
+
+
+@lru_cache(maxsize=None)
+def _measured_alone(n, max_freq):
+    """lp_norm_quadrature of every canonical n-set with entries <= max_freq, keyed by its freqs."""
+    return {fs.freqs: lp_norm_quadrature(fs, 1) for fs in _every_canonical_set(n, max_freq)}
+
+
+@pytest.mark.parametrize("n, max_freq", [(1, 4), (2, 9), (3, 3), (3, 12), (4, 8), (4, 14), (5, 11)])
+def test_candidates_are_one_set_per_mirror_pair(n, max_freq):
+    # the yielded sets and their mirrors are exactly the canonical sets; each
+    # yielded set is the smaller of its pair, palindromes such as {1, 2, 3}
+    # and {1, 2, 6, 7} included, and none repeats
+    got = [fs.freqs for fs in _canonical_candidates(n, max_freq)]
+    assert got == sorted(set(got))
+    assert all(freqs <= _mirror(freqs) for freqs in got)
+    every = [fs.freqs for fs in _every_canonical_set(n, max_freq)]
+    assert set(got) | {_mirror(freqs) for freqs in got} == set(every)
+    assert len(got) == len({min(freqs, _mirror(freqs)) for freqs in every})
+
+
+@pytest.mark.parametrize("n, max_freq", [(4, 14), (5, 16)])
+def test_mirror_pairs_measure_alike(n, max_freq):
+    # |S| of a set and of its mirror agree at every theta, so the L1 rule
+    # measures both within the search's 1e-12 tie tolerance
+    measured = _measured_alone(n, max_freq)
+    pairs = [(freqs, _mirror(freqs)) for freqs in measured if freqs < _mirror(freqs)]
+    assert len(pairs) > 100
+    for freqs, mirror in pairs:
+        assert abs(measured[freqs].normalized - measured[mirror].normalized) <= 1e-12
+
+
+@pytest.mark.parametrize("n, max_freq", [(3, 12), (4, 8), (4, 14)])
+def test_exhaustive_equals_a_full_scan(n, max_freq):
+    # measuring one set per mirror pair keeps the full lexicographic scan's
+    # result bit for bit; (4, 8) holds {1,2,6,7} with its double zero
+    best_set = best = None
+    for freqs, est in _measured_alone(n, max_freq).items():
+        if best is None or est.normalized > best.normalized + 1e-12:
+            best_set, best = freqs, est
+    r = exhaustive_sigma(n, max_freq)
+    assert r.best_set.freqs == best_set
+    assert r.best_value.hex() == best.normalized.hex()
+    assert r.value_error.hex() == (best.error_bound / math.sqrt(n)).hex()
+    assert r.evaluations == len(list(_canonical_candidates(n, max_freq)))
 
 
 @pytest.mark.parametrize(
@@ -120,8 +156,8 @@ def test_exhaustive_best_values_are_pinned(n, max_freq, best_set, best_hex):
 
 
 def test_anneal_result_is_pinned():
-    # the initial sample is scored in one batch; the seeded stream and the
-    # count of distinct sets scored are as when each was scored alone
+    # every set, the initial sample included, is scored alone; scoring draws
+    # nothing, so the seeded stream fixes the sets and their count
     r = anneal_sigma(4, 20, 300, 5)
     assert r.best_set.freqs == (1, 3, 6, 7)
     assert r.best_value.hex() == "0x1.db8481ce5ff1fp-1"
@@ -130,8 +166,8 @@ def test_anneal_result_is_pinned():
 
 def test_exhaustive_memory_stays_small():
     # several candidates of (4, 14) have a double zero, whose suspect panels
-    # reach ~10^4 per set at depth; a level holding many of them is split
-    # between its sets, so the peak stays near that of one set alone
+    # reach ~10^4 per set at depth; each set is measured alone, so the peak
+    # is that of one set
     tracemalloc.start()
     try:
         exhaustive_sigma(4, 14)
@@ -139,21 +175,6 @@ def test_exhaustive_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
-
-
-def test_batched_set_alone_peaks_as_lp_norm_quadrature():
-    # the double zero of {1,2,6,7} refines alone at depth; there the batched
-    # rule holds no more than the one-set rule, not a multiplier row per node
-    fs = make_frequency_set([1, 2, 6, 7])
-    peaks = []
-    for measure in (lambda: lp_norm_quadrature(fs, 1), lambda: list(l1_quadrature_many([fs]))):
-        tracemalloc.start()
-        try:
-            measure()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_exhaustive_monotone_in_max_freq():
