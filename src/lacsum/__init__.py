@@ -62,7 +62,6 @@ _API = {
         "McConfig",
         "NormEstimate",
         "fourth_moment_cos",
-        "l1_auto",
         "l1_monte_carlo",
         "lp_norm_quadrature",
         "markov_tail_fraction",

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 
 from . import records
-from .errors import LacsumError
+from .errors import FrequencyTooLarge, LacsumError
 from .frequency import lacunary_set, make_frequency_set, parse_freqs_file
 
 EXIT_OK = 0
@@ -86,13 +86,6 @@ def _whole_number(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
 
 
-def _positive_real(text: str) -> float:
-    """A finite number > 0; not 0, -1, inf or nan."""
-    if not 0 < float(text) < float("inf"):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
-    return float(text)
-
-
 def _resolve_seed(value) -> int:
     return int(value) if value is not None else secrets.randbits(63)
 
@@ -113,7 +106,6 @@ def build_parser() -> _Parser:
     p.add_argument("--method", default="auto", choices=("auto", "quad", "mc"))
     p.add_argument("--samples", type=_whole_number, default=10**6)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=_positive_real, default=1e-3)
 
     p = sub.add_parser("energy", help="additive energy and the Hoelder certificate")
     _add_freq_flags(p)
@@ -165,18 +157,22 @@ def _exec_eval(config: dict):
 
 
 def _exec_norms(config: dict):
+    """--method quad and auto measure with lp_norm_quadrature; mc, and auto
+    above the quadrature limit, sample with l1_monte_carlo. So only a run
+    that samples reads --samples and --seed."""
     from . import norms
 
     fs = make_frequency_set(config["freqs"])
-    method = config["method"]
-    if method == "mc":
-        if config["p"] != 1:
-            raise LacsumError("monte-carlo estimation is implemented for p = 1")
-        est = norms.l1_monte_carlo(fs, norms.McConfig(samples=config["samples"], seed=config["seed"]))
-    elif method == "auto" and config["p"] == 1:
-        est = norms.l1_auto(fs, lambda: config["tol"], seed=lambda: config["seed"])
-    else:
-        est = norms.lp_norm_quadrature(fs, config["p"])
+    method, p = config["method"], config["p"]
+    if method == "mc" and p != 1:
+        raise ValueError(f"--method mc estimates the L1 norm only; use --p 1, not --p {p}")
+    if method != "mc":
+        try:
+            return {"schema": 1, **asdict(norms.lp_norm_quadrature(fs, p))}
+        except FrequencyTooLarge:
+            if method == "quad":
+                raise
+    est = norms.l1_monte_carlo(fs, norms.McConfig(samples=config["samples"], seed=config["seed"]))
     return {"schema": 1, **asdict(est)}
 
 

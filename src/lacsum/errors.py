@@ -10,7 +10,7 @@ class FrequencyTooLarge(LacsumError):
 
 
 class BudgetExceeded(LacsumError):
-    """A requested accuracy would need more samples than the hard cap."""
+    """A Monte Carlo configuration exceeds a hard cap: norms.MAX_MC_SAMPLES samples or norms.MAX_CHUNKS chunks."""
 
 
 class CapacityExceeded(LacsumError):

@@ -10,8 +10,9 @@ and sums the vector its caller's chunk function returns, so every Monte
 Carlo statistic, here and in cltlab, is a sum over the same stream. The L1
 norms of nested prefixes {k_1..k_n} (the convergence study) take one draw of
 theta and one running sum of S; l1_monte_carlo is the case of a single prefix.
-|S| is _abs of the sum's parts, with no libm call, so the Monte Carlo
-payloads are the same bits on every IEEE platform.
+|S| is _abs of the sum's parts, with no libm call and no BLAS, so the Monte
+Carlo payloads keep their bits under numpy's baseline loops and OpenBLAS's
+Prescott kernels; other CPUs are untested (README, Determinism).
 
 lp_norm_quadrature measures one set per call with the one L1 rule
 (quadrature.integrate_abs_adaptive); the search calls it once per candidate.
@@ -199,9 +200,12 @@ def lp_norm_quadrature(fs: FrequencySet, p: int) -> NormEstimate:
     fs's (fs itself if canonical), so its cost follows c.k_max; the
     estimate describes fs and is bit for bit c's. |S| has kinks at zeros of
     S; those panels are refined adaptively to a fixed depth; error_bound
-    bounds the panels kept at that depth, and the rest are accurate to
-    ~2e-15 on closed forms. p = 1 raises FrequencyTooLarge when c.k_max is
-    above quadrature.MAX_HARMONIC.
+    bounds the panels kept at that depth only. The panels that pass the
+    kink test are not covered, even where S has no zero: {1, 4, 24}
+    measures 1.5746186317190314, 7.05e-14 above its 30-digit value
+    1.574618631718960863529, with error_bound 0.0 (ROADMAP item 11).
+    p = 1 raises FrequencyTooLarge when c.k_max is above
+    quadrature.MAX_HARMONIC; l1_monte_carlo is the fallback.
     """
     if p not in (1, 2, 4):
         raise ValueError("p must be one of 1, 2, 4")
@@ -212,7 +216,7 @@ def lp_norm_quadrature(fs: FrequencySet, p: int) -> NormEstimate:
     if c.k_max > MAX_HARMONIC:
         raise FrequencyTooLarge(
             f"k_max {fs.k_max} (canonical k_max {c.k_max}) exceeds the quadrature limit {MAX_HARMONIC}; "
-            "use Monte Carlo instead"
+            "use Monte Carlo instead (l1_monte_carlo, or --method mc)"
         )
     lipschitz = 2.0 * math.pi * sum(c.freqs)  # bounds |S'|
     value, bound = integrate_abs_adaptive(lambda th: np.abs(fq.sum_values(c, th)), lipschitz, c.k_max)
@@ -254,34 +258,6 @@ def _l1_prefixes(fs: FrequencySet, ns: Sequence[int], cfg: McConfig) -> list[Nor
         )
         for n, (mean, se) in zip(ns, moments)
     ]
-
-
-def l1_auto(fs: FrequencySet, tol: float | Callable[[], float], seed: int | Callable[[], int] = 0) -> NormEstimate:
-    """Quadrature if the canonical k_max is at most quadrature.MAX_HARMONIC, else Monte Carlo sized to tol.
-
-    The quadrature branch is lp_norm_quadrature, which runs on the same
-    canonicalize(fs), so the two agree on where the limit falls. The Monte
-    Carlo branch samples fs itself and targets std_error <= tol/3 on the
-    (unnormalized) value, with the sample count sized from a pilot run. tol
-    and seed may each be a callable that returns it; only the Monte Carlo
-    branch calls them, so a caller that records its inputs records only
-    those used. A tol that is not positive raises ValueError, on either
-    branch if given as a number.
-    """
-    c = canonicalize(fs)
-    if c.k_max > MAX_HARMONIC or not callable(tol):
-        tol = tol() if callable(tol) else tol
-        if not tol > 0:
-            raise ValueError(f"tol must be positive, got {tol!r}")
-    if c.k_max <= MAX_HARMONIC:
-        return lp_norm_quadrature(c, 1)
-    seed = seed() if callable(seed) else seed
-    pilot = l1_monte_carlo(fs, McConfig(samples=1 << 14, seed=seed))
-    sigma = (pilot.std_error or 0.0) * math.sqrt(pilot.samples)
-    needed = max(int(math.ceil((3.0 * sigma / tol) ** 2)), 1 << 14)
-    if needed > MAX_MC_SAMPLES:
-        raise BudgetExceeded(f"tolerance {tol} would need {needed} samples, over MAX_MC_SAMPLES = {MAX_MC_SAMPLES}")
-    return l1_monte_carlo(fs, McConfig(samples=needed, seed=seed))
 
 
 def fourth_moment_cos(fs: FrequencySet) -> float:

@@ -9,9 +9,12 @@ k_max, not the given one. |S| has kinks at the zeros of S, so any panel
 that might contain a zero is bisected, to a fixed depth. A coarser first
 level saves nothing: at one panel per harmonic, lipschitz * width >= 2 pi
 > n >= max |S| for n <= 6, so every panel fails the kink test and is split
-anyway; 8 to 128 points per period agree to 2e-15. The nodes and weights
-are literals, the bits of numpy's leggauss(8), so the rule loads no
-numpy.polynomial.
+anyway; 8 to 128 points per period agree to 2e-15. Agreement is not
+accuracy: panels that pass the kink test carry no error bound, and on
+{1, 4, 24}, where S has no zero, the rule returns 1.5746186317190314,
+7.05e-14 above the 30-digit 1.574618631718960863529, with bound 0.0
+(ROADMAP item 11). The nodes and weights are literals, the bits of
+numpy's leggauss(8), so the rule loads no numpy.polynomial.
 
 The rule accepts k_max <= MAX_HARMONIC = 2^21, i.e. up to 2^27 first-level
 nodes; above it, FrequencyTooLarge sends callers to Monte Carlo. The limit
@@ -77,9 +80,11 @@ def integrate_abs_adaptive(
     once its node minimum exceeds lipschitz * width (so the panel cannot
     reach zero), else bisected; at depth _MAX_DEPTH it is accepted anyway,
     within lipschitz * width^2, and bound sums those. Panels that passed the
-    kink test are not in bound: the rule is accurate to <= 2.2e-15 on every
-    closed form tested. The first level goes in blocks of _BLOCK_PANELS
-    panels, each refined before the next is evaluated.
+    kink test are not in bound, and their error is not bounded either: it
+    was <= 2.2e-15 on the closed forms tested, but |S| of {1, 4, 24}, which
+    has no zero, comes out 7.05e-14 too high with bound 0.0 (ROADMAP item
+    11). The first level goes in blocks of _BLOCK_PANELS panels, each
+    refined before the next is evaluated.
     """
     npanels = panel_count(max_harmonic)
     total = bound = 0.0

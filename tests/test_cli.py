@@ -101,13 +101,57 @@ def test_norms_mc_seed_is_recorded(tmp_path, capsys):
 
 
 def test_norms_auto_records_its_seed_when_it_samples(tmp_path, capsys):
-    # a canonical k_max above quadrature.MAX_HARMONIC sends --method auto to Monte Carlo
-    code, out = run_in(tmp_path, "norms", "--freqs", f"1,2,{2**21 + 1}", "--tol", "0.05", capsys=capsys)
-    assert code == 0 and json.loads(out)["method"] == "monte-carlo"
+    # a canonical k_max above quadrature.MAX_HARMONIC sends --method auto to
+    # Monte Carlo, which draws exactly --samples points
+    code, out = run_in(tmp_path, "norms", "--freqs", f"1,2,{2**21 + 1}", "--samples", "20000", capsys=capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["method"] == "monte-carlo" and payload["samples"] == 20000
     run_dir = only_record_dir(tmp_path)
-    assert load_record(run_dir).config["seed"] == json.loads(out)["seed"]
+    assert load_record(run_dir).config == {
+        "freqs": [1, 2, 2**21 + 1], "p": 1, "method": "auto", "samples": 20000, "seed": payload["seed"]}
     code, out = run_in(tmp_path, "--no-record", "replay", str(run_dir), capsys=capsys)
     assert code == 0 and json.loads(out)["replay"] == "match"
+
+
+def test_norms_auto_measures_inside_the_limit_and_samples_above(tmp_path, capsys):
+    for i, (freqs, method) in enumerate([
+        ("1,2", "quadrature"),
+        (f"1,{2**22}", "quadrature"),  # {1, 2} up to dilation: the canonical k_max sets the limit
+        (f"1,2,{2**21 + 1}", "monte-carlo"),
+    ]):
+        code, out = run_in(tmp_path / str(i), "norms", "--freqs", freqs, "--samples", "1000", capsys=capsys)
+        assert code == 0 and json.loads(out)["method"] == method
+        recorded = {"samples", "seed"} & set(load_record(only_record_dir(tmp_path / str(i))).config)
+        assert recorded == ({"samples", "seed"} if method == "monte-carlo" else set()), freqs
+
+
+def test_norms_auto_falls_back_to_the_mc_run(tmp_path, capsys):
+    # above the limit, --method auto makes the very call --method mc makes,
+    # at the default 10^6 samples
+    argv = ["--no-record", "norms", "--lacunary", "8,16", "--seed", "1"]
+    code, auto = run_in(tmp_path, *argv, capsys=capsys)
+    assert code == 0
+    code, mc = run_in(tmp_path, *argv, "--method", "mc", capsys=capsys)
+    assert code == 0 and auto == mc
+    assert json.loads(auto)["samples"] == 10**6 and json.loads(auto)["std_error"] < 5e-3
+
+
+def test_norms_auto_sample_cap_fails_fast(tmp_path, capsys):
+    start = time.perf_counter()
+    code = run(["--runs-dir", str(tmp_path / "runs"), "norms", "--lacunary", "8,16", "--samples", "1e11"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "MAX_MC_SAMPLES" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("p", ["2", "4"])
+def test_norms_mc_with_p_other_than_1_is_a_usage_error(tmp_path, capsys, p):
+    code = run(["--runs-dir", str(tmp_path / "runs"), "norms", "--freqs", "1,2,5", "--method", "mc", "--p", p])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--method mc" in err and f"--p {p}" in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_norms_overflow_is_computation_error(tmp_path, capsys):
@@ -286,14 +330,6 @@ def test_bad_integer_lists_are_usage_errors_naming_the_flag(tmp_path, capsys, fl
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "abc"])
-def test_bad_tol_is_a_usage_error_naming_the_flag(tmp_path, capsys, tol):
-    code = run(["--runs-dir", str(tmp_path / "runs"), "norms", "--freqs", "1,2,5", "--tol", tol])
-    assert code == 1
-    assert "--tol" in capsys.readouterr().err
-    assert not (tmp_path / "runs").exists()
-
-
 def test_utc_stamp_reads_the_clock_once(monkeypatch):
     # one nanosecond before a second boundary: seconds and fraction agree
     monkeypatch.setattr(records.time, "time_ns", lambda: 1_700_000_000_999_999_999)
@@ -408,15 +444,15 @@ def test_no_record_writes_nothing(tmp_path, capsys):
         ["search", "--n", "2", "--max-freq", "6"],
         ["norms", "--p", "4", "--lacunary", "8,5"],
         ["norms", "--freqs", "1,2,5"],  # --method auto takes quadrature here
-        ["norms", "--freqs", "1,2,5", "--tol", "{tol}"],  # and reads no tol
+        ["norms", "--freqs", "1,2,5", "--samples", "{n}"],  # and reads no samples
     ],
 )
 def test_unread_flags_stay_out_of_the_record(tmp_path, capsys, argv):
     # no run reads a seed, so two runs without --seed record the same config;
-    # a {tol} placeholder takes a different --tol in each run
+    # an {n} placeholder takes a different --samples in each run
     hashes = []
-    for run_dir, tol in (("a", "0.5"), ("b", "0.1")):
-        assert run(["--runs-dir", str(tmp_path / run_dir), *(x.format(tol=tol) for x in argv)]) == 0
+    for run_dir, n in (("a", "1000"), ("b", "2000")):
+        assert run(["--runs-dir", str(tmp_path / run_dir), *(x.format(n=n) for x in argv)]) == 0
         hashes.append(load_record(next((tmp_path / run_dir).iterdir())).input_hash)
     assert hashes[0] == hashes[1]
 

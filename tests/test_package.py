@@ -40,7 +40,7 @@ def _skip_where_numpy_loads_them():
 
 
 def test_every_public_name_is_its_submodules_own_object():
-    assert len(lacsum.__all__) == 50
+    assert len(lacsum.__all__) == 49
     assert lacsum.__all__ == sorted(lacsum.__all__)
     for name in lacsum.__all__:
         owner = importlib.import_module(f"lacsum.{lacsum._OWNER[name]}")
@@ -127,3 +127,13 @@ def test_every_import_fires_on_the_main_thread():
     )
     # the pool was used (its module was imported), and no import ran on it
     assert _python("-c", code, env={"LACSUM_THREADS": "2"}).stdout.strip() == "[] True"
+
+
+def test_readme_library_block_runs(capsys):
+    # the README's Library example calls only names that exist, and runs as written
+    readme = (SRC.parent / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```", 1)[0], "README.md", "exec"), {})
+    normalized, _ = capsys.readouterr().out.split("\n")[0].split()
+    assert abs(float(normalized) - 0.8862) < 0.01
