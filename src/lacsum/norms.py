@@ -10,12 +10,12 @@ and sums the vector its caller's chunk function returns, so every Monte
 Carlo statistic, here and in cltlab, is a sum over the same stream. The L1
 norms of nested prefixes {k_1..k_n} (the convergence study) take one draw of
 theta and one running sum of S; l1_monte_carlo is the case of a single prefix.
-|S| is _abs of the sum's parts, with no libm call and no BLAS, so the Monte
-Carlo payloads keep their bits under numpy's baseline loops and OpenBLAS's
-Prescott kernels; other CPUs are untested (README, Determinism).
 
 lp_norm_quadrature measures one set per call with the one L1 rule
 (quadrature.integrate_abs_adaptive); the search calls it once per candidate.
+Every |S|, sampled or in the rule, is _abs of the sum's parts: no libm call
+and no BLAS, so both keep their bits under numpy's baseline loops and
+OpenBLAS's Prescott kernels; other CPUs are untested (README, Determinism).
 """
 
 from __future__ import annotations
@@ -198,11 +198,12 @@ def lp_norm_quadrature(fs: FrequencySet, p: int) -> NormEstimate:
     ||S||_4^4 is the additive energy K, counted exactly for any 64-bit set.
     For p = 1 the rule integrates |S| of c = canonicalize(fs), whose norm is
     fs's (fs itself if canonical), so its cost follows c.k_max; the
-    estimate describes fs and is bit for bit c's. |S| has kinks at zeros of
-    S; those panels are refined adaptively to a fixed depth; error_bound
-    bounds the panels kept at that depth only. The panels that pass the
-    kink test are not covered, even where S has no zero: {1, 4, 24}
-    measures 1.5746186317190314, 7.05e-14 above its 30-digit value
+    estimate describes fs and is bit for bit c's. |S| is _abs of
+    frequency.sum_values, and the rule sums each panel without BLAS. |S|
+    has kinks at zeros of S; those panels are refined to a fixed depth, and
+    error_bound bounds the panels kept at that depth only, not those that
+    pass the kink test, even where S has no zero: {1, 4, 24} measures
+    1.5746186317190314, 7.05e-14 above its 30-digit value
     1.574618631718960863529, with error_bound 0.0 (ROADMAP item 11).
     p = 1 raises FrequencyTooLarge when c.k_max is above
     quadrature.MAX_HARMONIC; l1_monte_carlo is the fallback.
@@ -219,7 +220,12 @@ def lp_norm_quadrature(fs: FrequencySet, p: int) -> NormEstimate:
             "use Monte Carlo instead (l1_monte_carlo, or --method mc)"
         )
     lipschitz = 2.0 * math.pi * sum(c.freqs)  # bounds |S'|
-    value, bound = integrate_abs_adaptive(lambda th: np.abs(fq.sum_values(c, th)), lipschitz, c.k_max)
+
+    def abs_s(th: np.ndarray) -> np.ndarray:
+        z = fq.sum_values(c, th)
+        return _abs(z.real, z.imag)
+
+    value, bound = integrate_abs_adaptive(abs_s, lipschitz, c.k_max)
     return NormEstimate(
         p=1,
         value=value,

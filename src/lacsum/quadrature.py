@@ -14,14 +14,17 @@ accuracy: panels that pass the kink test carry no error bound, and on
 {1, 4, 24}, where S has no zero, the rule returns 1.5746186317190314,
 7.05e-14 above the 30-digit 1.574618631718960863529, with bound 0.0
 (ROADMAP item 11). The nodes and weights are literals, the bits of
-numpy's leggauss(8), so the rule loads no numpy.polynomial.
+numpy's leggauss(8), so the rule loads no numpy.polynomial. A panel's sum
+is numpy's pairwise row sum of its 8 weighted values, not a BLAS dot, so
+its bits do not follow the CPU's SIMD path; |S| is the caller's, norms._abs
+in lp_norm_quadrature.
 
-The rule accepts k_max <= MAX_HARMONIC = 2^21, i.e. up to 2^27 first-level
-nodes; above it, FrequencyTooLarge sends callers to Monte Carlo. The limit
-bounds time, not well: |S| of the canonical {1, 2, 2^21} takes ~14 s and
-91 MB on a 2-vCPU Xeon, while {1, 2, 2^21 - 1, 2^21}, where |S| is small on
-a wide interval around 1/2, ran 8 minutes without finishing and passed
-4.5 GB. Blocks and the depth limit bound memory only where few panels fail
+lp_norm_quadrature admits a canonical k_max <= MAX_HARMONIC = 2^21, i.e.
+up to 2^27 first-level nodes; above it, FrequencyTooLarge sends callers to
+Monte Carlo. The limit bounds time, not well: |S| of the canonical
+{1, 2, 2^21} takes ~14 s and 91 MB on a 2-vCPU Xeon, while
+{1, 2, 2^21 - 1, 2^21}, where |S| is small on a wide interval around 1/2,
+ran 8 minutes without finishing and passed 4.5 GB. Blocks and the depth limit bound memory only where few panels fail
 the kink test. L2 and L4 norms need no quadrature: they are exact (see
 norms.lp_norm_quadrature).
 """
@@ -31,8 +34,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-
-from .errors import FrequencyTooLarge
 
 # 8-point Gauss-Legendre on [-1, 1]: the bits of numpy's leggauss(8),
 # written out so the rule loads no numpy.polynomial
@@ -61,16 +62,6 @@ _MAX_DEPTH = 20
 _BLOCK_PANELS = 1 << 17
 
 
-def panel_count(max_harmonic: int) -> int:
-    """First-level panels for a given highest harmonic; raises above MAX_HARMONIC."""
-    if max_harmonic > MAX_HARMONIC:
-        raise FrequencyTooLarge(
-            f"harmonic {max_harmonic} exceeds the quadrature limit {MAX_HARMONIC}; "
-            "use Monte Carlo instead"
-        )
-    return _PANELS_PER_HARMONIC * max_harmonic
-
-
 def integrate_abs_adaptive(
     absfn: Callable[[np.ndarray], np.ndarray], lipschitz: float, max_harmonic: int
 ) -> tuple[float, float]:
@@ -86,7 +77,7 @@ def integrate_abs_adaptive(
     11). The first level goes in blocks of _BLOCK_PANELS panels, each
     refined before the next is evaluated.
     """
-    npanels = panel_count(max_harmonic)
+    npanels = _PANELS_PER_HARMONIC * max_harmonic
     total = bound = 0.0
     for start in range(0, npanels, _BLOCK_PANELS):
         lefts = np.arange(start, min(start + _BLOCK_PANELS, npanels), dtype=np.float64) / npanels
@@ -100,7 +91,9 @@ def integrate_abs_adaptive(
             if depth == _MAX_DEPTH:
                 bound += np.count_nonzero(suspect) * lipschitz * width * width
                 suspect[:] = False
-            total += float((width * (vals @ _W01))[~suspect].sum())
+            vals *= _W01  # in place: the kink test has read vals
+            # a pairwise row sum, not a BLAS dot, whose bits follow the CPU
+            total += float((width * vals.sum(axis=1))[~suspect].sum())
             del vals  # freed before the next level is evaluated
             if not suspect.any():
                 break

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import os
@@ -27,12 +28,12 @@ from lacsum import (
     mian_chowla,
     sample_mu_nu,
 )
-from lacsum import frequency, quadrature, rng
+from lacsum import frequency, norms, quadrature, rng
 from lacsum.energy import count_quadruple_solutions
 from lacsum.errors import BudgetExceeded, FrequencyTooLarge
 from lacsum.frequency import sum_components_dyadic, sum_values
 from lacsum.norms import MAX_CHUNKS, MAX_MC_SAMPLES, _abs, _map_chunks, num_workers
-from lacsum.quadrature import MAX_HARMONIC, panel_count
+from lacsum.quadrature import MAX_HARMONIC
 from oracles import l1_1_2_4_5_6_7_9_10, l1_1_2_6_7, midpoint_l1, periodic_mean
 
 
@@ -184,13 +185,22 @@ def test_quadrature_budget_enforced():
         lp_norm_quadrature(fs, p=1)
 
 
-def test_panel_count_scales_with_harmonic():
-    assert panel_count(100) >= panel_count(10)
-    # one rule, 8 panels per harmonic; the limit is a harmonic, 2^21
+def test_l1_rule_admits_canonical_k_max_up_to_2_21(monkeypatch):
+    # the limit is a harmonic, 2^21: lp_norm_quadrature hands the rule a
+    # canonical k_max at the limit and refuses one just above it
     assert MAX_HARMONIC == 2**21
-    assert panel_count(2**21) == 8 * 2**21
+    harmonics = []
+
+    def rule(absfn, lipschitz, max_harmonic):
+        harmonics.append(max_harmonic)
+        return 0.0, 0.0
+
+    monkeypatch.setattr(norms, "integrate_abs_adaptive", rule)
+    lp_norm_quadrature(make_frequency_set([1, 2, 2**21]), 1)
+    assert harmonics == [2**21]
     with pytest.raises(FrequencyTooLarge):
-        panel_count(2**21 + 1)
+        lp_norm_quadrature(make_frequency_set([1, 2, 2**21 + 1]), 1)
+    assert harmonics == [2**21]
 
 
 def test_gauss_legendre_literals_are_leggauss_bits():
@@ -338,21 +348,66 @@ def _skip_unless_forceable(env: dict):
             pytest.skip(f"numpy does not run {', '.join(missing)} on this CPU")
 
 
-@pytest.mark.parametrize("env", [
+# the value and error_bound of every set exhaustive_sigma(4, 14) measures,
+# and the values of five sets with zeros of S of order 0 to 2, in one
+# sha256; then the best value of the pinned anneal
+_QUADRATURE_PAYLOAD_HEX = """
+import hashlib
+import lacsum as ls
+from lacsum.search import _canonical_candidates
+ests = [ls.lp_norm_quadrature(fs, 1) for fs in _canonical_candidates(4, 14)]
+values = [v for est in ests for v in (est.value, est.error_bound)]
+values += [ls.lp_norm_quadrature(ls.make_frequency_set(f), 1).value
+           for f in ([1], [1, 4, 24], [1, 14, 276], [1, 3, 4096], [1, 2, 6, 7])]
+hexes = [hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest(),
+         ls.anneal_sigma(4, 20, 300, 5).best_value.hex()]
+"""
+
+
+@functools.cache
+def _hexes_here(snippet: str) -> tuple:
+    """The hexes snippet computes in this process."""
+    here = {}
+    exec(snippet, here)
+    return tuple(here["hexes"])
+
+
+def _hexes_under(snippet: str, env: dict) -> tuple:
+    """The hexes snippet computes in a subprocess with env added to the environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", snippet + "print(*hexes)"], env={
+        **os.environ, "PYTHONPATH": src, **env}, capture_output=True, text=True, timeout=120, check=True)
+    return tuple(out.stdout.split())
+
+
+_FORCED_SETTINGS = pytest.mark.parametrize("env", [
     {"OPENBLAS_CORETYPE": "Prescott"},
     {"NPY_DISABLE_CPU_FEATURES": "X86_V3,X86_V4,AVX512_ICL,AVX512_SPR"},
 ], ids=["openblas-prescott", "numpy-baseline"])
+
+
+@_FORCED_SETTINGS
 def test_monte_carlo_payloads_keep_their_bits_on_other_simd_paths(env):
     # OpenBLAS's SSE3 kernels and numpy's baseline loops move the char-fn
-    # grid and quadrature values (ROADMAP item 14), but not these: their
-    # products have a zero part or are squares, and they take no BLAS call
+    # grid (ROADMAP item 14), but not these: their products have a zero part
+    # or are squares, and they take no BLAS call
     _skip_unless_forceable(env)
-    here = {}
-    exec(_MC_PAYLOAD_HEX, here)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", _MC_PAYLOAD_HEX + "print(*hexes)"], env={
-        **os.environ, "PYTHONPATH": src, **env}, capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.split() == here["hexes"]
+    assert _hexes_under(_MC_PAYLOAD_HEX, env) == _hexes_here(_MC_PAYLOAD_HEX)
+
+
+@_FORCED_SETTINGS
+def test_quadrature_payloads_keep_their_bits_on_other_simd_paths(env):
+    # |S| is norms._abs and each panel sum is a product and a pairwise row
+    # sum, with no BLAS call, so the L1 rule, the search and the anneal keep
+    # their bits too
+    _skip_unless_forceable(env)
+    assert _hexes_under(_QUADRATURE_PAYLOAD_HEX, env) == _hexes_here(_QUADRATURE_PAYLOAD_HEX)
+
+
+def test_quadrature_payload_bits_are_pinned():
+    # a platform or change that moves one quadrature value or bound shows here
+    assert _hexes_here(_QUADRATURE_PAYLOAD_HEX)[0] == (
+        "22034ae79cd95aeeb177be950c769e139bcb321de8455d7395995d0ddfde6868")
 
 
 def test_kernel_table_bits_are_pinned():
@@ -404,6 +459,18 @@ def test_abs_of_s_takes_no_libm_hypot(monkeypatch):
     l1_monte_carlo(lacunary_set(8, 6), mc)
     convergence_study(8, [2, 6], mc)
     clt_report(lacunary_set(8, 6), mc, with_chain_audit=True)
+
+    # nor does the L1 rule take |S| with np.abs, whose complex loop is hypot
+    absolute = np.abs
+
+    def real_abs(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            raise AssertionError("np.abs called on complex values")
+        return absolute(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", real_abs)
+    assert lp_norm_quadrature(make_frequency_set([1, 2, 6, 7]), 1).value == pytest.approx(l1_1_2_6_7(), abs=1e-12)
+    assert lp_norm_quadrature(make_frequency_set([1, 4, 24]), 1).value == pytest.approx(1.574618631718960863529, abs=1e-12)
 
 
 def test_map_chunks_keeps_a_bounded_window_of_futures(monkeypatch):

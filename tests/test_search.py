@@ -145,7 +145,7 @@ def test_exhaustive_equals_a_full_scan(n, max_freq):
 @pytest.mark.parametrize(
     "n, max_freq, best_set, best_hex",
     [
-        (3, 24, (1, 2, 4), "0x1.d8ed9e5a73f6dp-1"),
+        (3, 24, (1, 2, 4), "0x1.d8ed9e5a73f6ep-1"),
         (5, 16, (1, 3, 8, 9, 12), "0x1.dea415fcdb57cp-1"),
     ],
 )
