@@ -14,10 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import secrets
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
+from pathlib import Path
 
 from . import records
 from .errors import FrequencyTooLarge, LacsumError
@@ -285,6 +287,19 @@ def _config_from_args(args) -> _ReadKeys:
     return config
 
 
+def _check_runs_dir(path: str) -> None:
+    """Refuse a --runs-dir that cannot be made, before the run: its nearest
+    existing ancestor (or itself) must be a directory this process may write."""
+    target = Path(path).absolute()
+    # os.path.exists, not Path.exists, which raises where an ancestor cannot
+    # be searched; the walk then stops at that ancestor, which fails below
+    nearest = next(p for p in (target, *target.parents) if os.path.exists(p))
+    if not nearest.is_dir():
+        raise ValueError(f"--runs-dir: {nearest} is not a directory")
+    if not os.access(nearest, os.W_OK | os.X_OK):
+        raise ValueError(f"--runs-dir: {nearest} is not writable")
+
+
 @contextmanager
 def _output(flag: str, path: str):
     try:
@@ -349,6 +364,8 @@ def run(argv=None) -> int:
                 print(f"lacsum: invalid run record: {exc}", file=sys.stderr)
                 return EXIT_USAGE
         config = _config_from_args(args)
+        if not args.no_record:
+            _check_runs_dir(args.runs_dir)
         started = records.utc_stamp()
         payload = _EXECUTORS[args.subcommand](config)
         finished = records.utc_stamp()
@@ -372,7 +389,11 @@ def run(argv=None) -> int:
             finished=finished,
             payload=json.loads(json.dumps(payload)),
         )
-        records.write_record(args.runs_dir, record)
+        try:
+            records.write_record(args.runs_dir, record)
+        except OSError as exc:  # the directory changed since the check, or the disk is full
+            print(f"lacsum: error: --runs-dir: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_OK
 
 

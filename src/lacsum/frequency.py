@@ -9,9 +9,13 @@ double-precision products lose all phase information.
 Every bulk evaluation (Monte Carlo, quadrature, the alpha/beta products)
 goes through one kernel, which takes each phase as an exact 64-bit fraction
 and e^{2 pi i phase} from a table; only this module builds its multipliers,
-one uint64 scalar per frequency. sum_components_dyadic evaluates one set at
-Monte Carlo draws, and sum_values one set at float theta (the L1 quadrature
-nodes). evaluate_sum is the scalar libm reference.
+one uint64 per frequency. The kernel has two paths with the same bits. A
+call of up to _SMALL_TERMS = 2^12 terms (frequencies x points), such as
+most L1 levels of the search, takes every frequency in one numpy pass per
+step on (n, P) arrays; a larger call, such as every Monte Carlo chunk,
+loops over the frequencies in blocks of points. sum_components_dyadic
+evaluates one set at Monte Carlo draws, and sum_values one set at float
+theta (the L1 quadrature nodes). evaluate_sum is the scalar libm reference.
 """
 
 from __future__ import annotations
@@ -188,6 +192,14 @@ _C4 = _S1**4 / 24.0
 # 2 MB L2 cache; 2^16 spills it and measured no faster.
 _BLOCK = 1 << 15
 
+# Terms (frequencies x points) up to which a call takes every frequency in
+# one pass (_add_unit_roots_small). Its fresh (n, P) arrays take ~0.4 MB at
+# 2^12 terms. From ~5 000 terms on, a process whose heap glibc trims after
+# every call page-faults them in again each time, and the pass measured 2x
+# slower than the block loop at 5 000 to 9 000 terms; below 4 500 it was
+# faster in every heap state tried.
+_SMALL_TERMS = 1 << 12
+
 
 def _unit_roots(bits: int) -> np.ndarray:
     """e^{2 pi i j / 2^bits} for every j < 2^bits.
@@ -211,18 +223,28 @@ _TABLE = _unit_roots(_TABLE_BITS)
 _TABLE_PARTS = _TABLE.view(np.float64).reshape(-1, 2)
 
 
-def _multipliers(freqs: tuple, factor: int) -> tuple:
-    """factor k mod 2^64 for each k of freqs, as uint64 scalars for _add_unit_roots."""
-    return tuple(np.uint64(factor * k % 2**64) for k in freqs)
+def _multipliers(freqs: tuple, factor: int) -> np.ndarray:
+    """factor k mod 2^64 for each k of freqs, as a uint64 array for _add_unit_roots."""
+    return np.array([factor * k % 2**64 for k in freqs], dtype=np.uint64)
 
 
-def _add_unit_roots(mults, m: np.ndarray, out: np.ndarray) -> None:
+def _add_unit_roots(mults: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
     """out += sum_k e^{2 pi i w_k / 2^64}, out complex128 and shaped like m.
 
-    w_k = mult_k m wraps in uint64, each multiplier a uint64 scalar. m is
-    split into _BLOCK-point blocks that share one work buffer; within a
-    block the frequencies are added in order, as a per-frequency loop over
-    all of m would.
+    w_k = mult_k m wraps in uint64. Both paths give the same bits; which is
+    faster depends on the number of terms, frequencies x points.
+    """
+    if mults.size * m.size <= _SMALL_TERMS:
+        _add_unit_roots_small(mults, m, out)
+    else:
+        _add_unit_roots_blocks(mults, m, out)
+
+
+def _add_unit_roots_blocks(mults: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    """_add_unit_roots frequency by frequency over _BLOCK-point blocks of m.
+
+    The blocks share one work buffer; within a block the frequencies are
+    added in order, as a per-frequency loop over all of m would.
     """
     rows = np.empty((4, min(_BLOCK, m.size)), dtype=np.complex128)
     rows[1] = 0  # i sin r: only its imaginary part is ever written
@@ -260,6 +282,31 @@ def _add_unit_roots(mults, m: np.ndarray, out: np.ndarray) -> None:
             t += cos_r1
             t += term
             out[lo : lo + n] += t
+
+
+def _add_unit_roots_small(mults: np.ndarray, m: np.ndarray, out: np.ndarray) -> None:
+    """_add_unit_roots with every frequency at once: one numpy pass per step on (n, P) arrays.
+
+    Each term takes the block loop's IEEE operations, complex products
+    included, and the rows go into out in frequency order, so the sums keep
+    the block loop's bits.
+    """
+    w = np.multiply.outer(mults, m)
+    top = np.right_shift(w, _LOW_BITS).view(np.int64)
+    np.bitwise_and(w, _LOW_MASK, out=w)
+    x = w.view(np.int64).astype(np.float64)
+    x2 = x * x
+    i_sin_r = np.zeros(w.shape, dtype=np.complex128)
+    i_sin_r.imag = (x2 * _S3 + _S1) * x
+    cos_r1 = np.zeros(w.shape, dtype=np.complex128)
+    cos_r1.real = (x2 * _C4 + _C2) * x2
+    term = _TABLE[top]
+    cos_r1 *= term
+    t = term * i_sin_r
+    t += cos_r1
+    t += term
+    for row in t:
+        out += row
 
 
 def sum_components_dyadic(

@@ -39,6 +39,11 @@ MAX_MC_SAMPLES = 10**10
 # One pass holds a task and a result per chunk. 2^18 is the least power of two
 # that admits the default chunk at MAX_MC_SAMPLES (152 588 chunks).
 MAX_CHUNKS = 1 << 18
+# LACSUM_THREADS above this raises: a pass starts min(workers, chunks) threads,
+# each holding a chunk's working set (~3.5 MiB at the default chunk), so 256
+# workers can hold ~0.9 GB, and one thread per chunk at MAX_MC_SAMPLES would
+# start 152 588.
+MAX_WORKERS = 256
 
 @dataclass(frozen=True)
 class McConfig:
@@ -81,7 +86,7 @@ def num_workers() -> int:
     or the CPU count where the platform cannot tell.
 
     An empty LACSUM_THREADS counts as unset; any other value that is not an
-    integer >= 1 raises ValueError.
+    integer from 1 to MAX_WORKERS raises ValueError.
     """
     env = os.environ.get("LACSUM_THREADS", "")
     if not env.strip():
@@ -95,6 +100,8 @@ def num_workers() -> int:
         workers = 0
     if workers < 1:
         raise ValueError(f"LACSUM_THREADS must be an integer >= 1, got {env!r}")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"LACSUM_THREADS {env!r} exceeds the cap MAX_WORKERS = {MAX_WORKERS}")
     return workers
 
 

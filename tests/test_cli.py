@@ -355,6 +355,44 @@ def test_file_flag_errors_are_one_line(tmp_path, capsys, flag, args):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("runs_dir", ["afile", "afile/runs"])
+def test_unusable_runs_dir_is_a_usage_error_before_the_run(tmp_path, capsys, runs_dir):
+    (tmp_path / "afile").write_text("")
+    code = run(["--runs-dir", str(tmp_path / runs_dir), "eval", "--freqs", "1,2", "--theta", "0.1"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == f"lacsum: error: --runs-dir: {tmp_path / 'afile'} is not a directory\n"
+    assert out == ""  # refused before the executor ran
+
+
+def test_runs_dir_under_an_unsearchable_directory_is_a_usage_error(tmp_path, capsys):
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    locked.chmod(0)
+    try:
+        if os.access(locked, os.X_OK):
+            pytest.skip("this process may search any directory (root)")
+        code = run(["--runs-dir", str(locked / "a" / "runs"), "eval", "--freqs", "1,2", "--theta", "0.1"])
+    finally:
+        locked.chmod(0o700)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == f"lacsum: error: --runs-dir: {locked} is not writable\n"
+    assert out == ""
+
+
+def test_failed_record_write_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def write_record(runs_dir, record):
+        raise PermissionError(13, "Permission denied", str(runs_dir))
+
+    monkeypatch.setattr(records, "write_record", write_record)
+    code = run(["--runs-dir", str(tmp_path / "runs"), "eval", "--freqs", "1,2", "--theta", "0.1"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out)["n"] == 2  # the payload went out before the write
+    assert err == f"lacsum: error: --runs-dir: [Errno 13] Permission denied: '{tmp_path / 'runs'}'\n"
+
+
 def test_replay_matches(tmp_path, capsys):
     code, _ = run_in(
         tmp_path,

@@ -229,6 +229,24 @@ def test_sum_values_matches_scalar_reference():
     assert fq.sum_values(fs, -1e-300) == 5.0  # -1e-300 mod 1 rounds to 1, which wraps to 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_small_kernel_path_matches_the_block_loop(n):
+    # the one-pass path must give the block loop's bits on either side of the
+    # crossover, with wrapping multipliers, m >= 2^63 and sums already in out
+    rg = np.random.default_rng(n)
+    edge = fq._SMALL_TERMS // n
+    for size in (0, 1, 7, edge - 1, edge + 1):
+        mults = rg.integers(0, 2**64, size=n, dtype=np.uint64)
+        mults[0] = 2**64 - 1
+        m = rg.integers(0, 2**64, size=size, dtype=np.uint64)
+        m[: min(size, 4)] = [0, 2**63, 2**64 - 1, 2**63 - 1][: min(size, 4)]
+        start = rg.standard_normal(size) + 1j * rg.standard_normal(size)
+        small, blocks = start.copy(), start.copy()
+        fq._add_unit_roots_small(mults, m, small)
+        fq._add_unit_roots_blocks(mults, m, blocks)
+        assert np.array_equal(small.view(np.uint64), blocks.view(np.uint64)), size
+
+
 def test_freqs_file_roundtrip(tmp_path):
     fs = make_frequency_set([1, 8, 64, 4097])
     path = tmp_path / "freqs.txt"

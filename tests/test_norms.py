@@ -32,7 +32,7 @@ from lacsum import frequency, norms, quadrature, rng
 from lacsum.energy import count_quadruple_solutions
 from lacsum.errors import BudgetExceeded, FrequencyTooLarge
 from lacsum.frequency import sum_components_dyadic, sum_values
-from lacsum.norms import MAX_CHUNKS, MAX_MC_SAMPLES, _abs, _map_chunks, num_workers
+from lacsum.norms import MAX_CHUNKS, MAX_MC_SAMPLES, MAX_WORKERS, _abs, _map_chunks, num_workers
 from lacsum.quadrature import MAX_HARMONIC
 from oracles import l1_1_2_4_5_6_7_9_10, l1_1_2_6_7, midpoint_l1, periodic_mean
 
@@ -510,6 +510,15 @@ def test_num_workers_rejects_bad_thread_counts(monkeypatch, value):
     monkeypatch.setenv("LACSUM_THREADS", value)
     with pytest.raises(ValueError, match=f"LACSUM_THREADS.*{value!r}"):
         num_workers()
+
+
+def test_num_workers_caps_the_thread_count(monkeypatch):
+    monkeypatch.setenv("LACSUM_THREADS", str(MAX_WORKERS))
+    assert num_workers() == MAX_WORKERS
+    for value in (str(MAX_WORKERS + 1), "150000"):
+        monkeypatch.setenv("LACSUM_THREADS", value)
+        with pytest.raises(ValueError, match=f"LACSUM_THREADS '{value}' exceeds the cap MAX_WORKERS = {MAX_WORKERS}"):
+            num_workers()
 
 
 def test_num_workers_reads_thread_count(monkeypatch):
