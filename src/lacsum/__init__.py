@@ -26,11 +26,9 @@ _API = {
         "clt_report",
         "default_phi_grid",
         "deviation_bound",
-        "empirical_char_fn",
         "gaussian_abs_mean",
         "ks_distance_to_normal",
         "product_moment",
-        "sample_mu_nu",
         "smoothing_bound",
         "w_remainder",
     ),
@@ -56,7 +54,6 @@ _API = {
         "lacunary_set",
         "make_frequency_set",
         "parse_freqs_file",
-        "write_freqs_file",
     ),
     "norms": (
         "McConfig",

@@ -43,8 +43,7 @@ _KS_SLACK = 1e-12
 # Squares between a _phase_rows row and the libm row it was taken from.
 _MAX_SQUARES = 2
 
-# Samples that clt_report and sample_mu_nu keep as mu and nu, 16 bytes each:
-# 1.6 GB at the cap.
+# Samples that clt_report keeps as mu and nu, 16 bytes each: 1.6 GB at the cap.
 _MAX_KEPT_SAMPLES = 10**8
 
 # Points of a chunk whose char-fn phase rows are built at once: the default
@@ -271,11 +270,6 @@ def smoothing_bound(inp: SmoothingInputs) -> float:
 # Sampling, empirical characteristic function, and the report
 # ---------------------------------------------------------------------------
 
-def sample_mu_nu(fs: FrequencySet, mc: McConfig) -> tuple[np.ndarray, np.ndarray]:
-    """mc.samples iid draws of (mu, nu) from the deterministic theta stream."""
-    return _sample_pass(fs, mc, [], None, keep_mu_nu=True)[2:]
-
-
 @dataclass(frozen=True)
 class CharFnPoint:
     s: float
@@ -329,84 +323,6 @@ def _chain_audit(mc: McConfig, chain: tuple, item: tuple, x: np.ndarray, y: np.n
     z = rng.chunk_gaussian_pairs(mc.seed, rng.STREAM_Z, *item, math.sqrt(sigma2_z))
     xz = _abs(x + z[:, 0], y + z[:, 1])
     return _moment_sums(xz, xz * (xz <= radius))
-
-
-def _sample_pass(
-    fs: FrequencySet,
-    mc: McConfig,
-    grid: Sequence[tuple[float, float]],
-    chain: Optional[tuple],
-    keep_mu_nu: bool,
-) -> tuple[np.ndarray, list[CharFnPoint], Optional[np.ndarray], Optional[np.ndarray]]:
-    """Every CLT statistic as one per-chunk sum vector, through the norms._mc_mean driver.
-
-    Each chunk returns one vector: the _moment_sums of |S| (norms._abs, as
-    in l1_monte_carlo), mu, nu, mu nu
-    and, with chain, the _chain_audit sums; then A B^T and A conj(B)^T, where
-    A and B hold e^{i|s| mu} and e^{i|t| nu} for the distinct |s| and |t| of
-    the grid, built and multiplied _GRID_PIECE points at a time and added
-    up over the chunk. Each per-sample quantity is summed as soon as it is
-    made, so a chunk holds few arrays at once. _mc_mean sums the vectors in
-    a fixed order, so the result does not depend on the worker count.
-    Negative s follows from phi(-s, t) = conj phi(s, -t); as |e^{ix}| = 1,
-    the ddof=1 variances of Re and Im add up to N (1 - |phi|^2) / (N - 1).
-
-    Returns the (sum, sum of squares) rows and the char-fn points, then, with
-    keep_mu_nu, mu and nu at full length (the exact KS distance sorts them),
-    else None twice. Kept samples are capped at _MAX_KEPT_SAMPLES, checked
-    before any draw.
-    """
-    rt, count = math.sqrt(fs.n), mc.samples
-    if keep_mu_nu and count > _MAX_KEPT_SAMPLES:
-        raise CapacityExceeded(
-            f"{count} samples of mu and nu would hold {16 * count} bytes; "
-            f"the kept-sample cap is {_MAX_KEPT_SAMPLES} samples"
-        )
-    s_abs = sorted({abs(s) for s, _ in grid})
-    t_abs = sorted({abs(t) for _, t in grid})
-    mu, nu = (np.empty(count), np.empty(count)) if keep_mu_nu else (None, None)
-
-    def sums(item, m):
-        re, im = fq.sum_components_dyadic(fs, m)
-        del m  # the draws are dead once S is evaluated; free them before the grid
-        moments = _moment_sums(_abs(re, im))
-        x, y = np.divide(im, rt, out=im), np.divide(re, rt, out=re)
-        if keep_mu_nu:
-            lo = item[0] * mc.chunk_size
-            mu[lo : lo + item[1]], nu[lo : lo + item[1]] = x, y
-        moments += _moment_sums(x, y, x * y)
-        if chain:
-            moments += _chain_audit(mc, chain, item, x, y)
-        grid_sums = np.zeros((2, len(s_abs), len(t_abs)), dtype=np.complex128)
-        for lo in range(0, x.size if grid else 0, _GRID_PIECE):
-            a = _phase_rows(s_abs, x[lo : lo + _GRID_PIECE])
-            b = _phase_rows(t_abs, y[lo : lo + _GRID_PIECE])
-            grid_sums[0] += a @ b.T
-            grid_sums[1] += a @ np.conjugate(b, out=b).T  # in place: no copy of B
-        return np.concatenate([moments, grid_sums.ravel()])
-
-    total = _mc_mean(mc, sums)
-    k = total.size - 2 * len(s_abs) * len(t_abs)
-    plus, minus = total[k:].reshape(2, len(s_abs), len(t_abs)) / count
-    points = []
-    for s, t in grid:
-        phi, se = complex(1.0), 0.0
-        if s or t:
-            i, j = s_abs.index(abs(s)), t_abs.index(abs(t))
-            phi = complex((plus if (s < 0) == (t < 0) else minus)[i, j])
-            phi = phi.conjugate() if s < 0 else phi
-            se = math.sqrt(max(1.0 - abs(phi) ** 2, 0.0) / (count - 1)) if count > 1 else math.nan
-        points.append(CharFnPoint(s, t, phi, se, math.exp(-(s * s + t * t) / 4.0)))
-    return total[:k].real.reshape(-1, 2), points, mu, nu
-
-
-def empirical_char_fn(
-    fs: FrequencySet, grid: Sequence[tuple[float, float]], mc: McConfig
-) -> list[CharFnPoint]:
-    """Monte Carlo estimates of phi(s,t) = E[e^{is mu + it nu}] on a grid of (s,t)."""
-    if not all(math.isfinite(s) and math.isfinite(t) for s, t in grid):
-        raise DomainError("char-fn grid points must be finite")
-    return _sample_pass(fs, mc, grid, None, keep_mu_nu=False)[1]
 
 
 def ks_distance_to_normal(sample: np.ndarray, sigma2: float) -> float:
@@ -534,16 +450,65 @@ def _ks_in_place(sample: np.ndarray) -> float:
 def clt_report(fs: FrequencySet, mc: McConfig, with_chain_audit: bool = False) -> CltReport:
     """Empirical (mu, nu) statistics against the Gaussian targets, from one chunked pass.
 
-    The radial mean is sum |S| / N / sqrt(n), as in l1_monte_carlo. The KS
-    distances of mu and nu are taken on the worker pool, one each, each
-    sorting the report's own array in place, so the pass holds 16 bytes a
-    sample.
+    Each chunk that norms._mc_mean draws returns one sum vector: the
+    _moment_sums of |S| (norms._abs, as in l1_monte_carlo, so the radial
+    mean is sum |S| / N / sqrt(n)), mu, nu, mu nu and, with the chain audit,
+    the _chain_audit sums; then A B^T and A conj(B)^T, where A and B hold
+    e^{i|s| mu} and e^{i|t| nu} for the distinct |s| and |t| of
+    default_phi_grid(), built and multiplied _GRID_PIECE points at a time
+    and added up over the chunk. Each per-sample quantity is summed as soon
+    as it is made, so a chunk holds few arrays at once. _mc_mean sums the
+    vectors in a fixed order, so the result does not depend on the worker
+    count. Negative s follows from phi(-s, t) = conj phi(s, -t); as
+    |e^{ix}| = 1, the ddof=1 variances of Re and Im add up to
+    N (1 - |phi|^2) / (N - 1).
+
+    mu and nu are kept at full length, 16 bytes a sample, capped at
+    _MAX_KEPT_SAMPLES before any draw. Their KS distances are taken on the
+    worker pool, one each, each sorting the report's own array in place.
     """
     count, rt = mc.samples, math.sqrt(fs.n)
     if with_chain_audit and fs.n < 2:
         raise DomainError("the chain audit needs n >= 2 (log n must be positive)")
+    if count > _MAX_KEPT_SAMPLES:
+        raise CapacityExceeded(
+            f"{count} samples of mu and nu would hold {16 * count} bytes; "
+            f"the kept-sample cap is {_MAX_KEPT_SAMPLES} samples"
+        )
     chain = (math.log(fs.n) ** 0.25, math.log(fs.n) ** -0.125) if with_chain_audit else None
-    moments, points, mu, nu = _sample_pass(fs, mc, default_phi_grid(), chain, keep_mu_nu=True)
+    axis = sorted({abs(a) for a in DEFAULT_PHI_AXIS})
+    mu, nu = np.empty(count), np.empty(count)
+
+    def sums(item, m):
+        re, im = fq.sum_components_dyadic(fs, m)
+        del m  # the draws are dead once S is evaluated; free them before the grid
+        moments = _moment_sums(_abs(re, im))
+        x, y = np.divide(im, rt, out=im), np.divide(re, rt, out=re)
+        lo = item[0] * mc.chunk_size
+        mu[lo : lo + item[1]], nu[lo : lo + item[1]] = x, y
+        moments += _moment_sums(x, y, x * y)
+        if chain:
+            moments += _chain_audit(mc, chain, item, x, y)
+        grid_sums = np.zeros((2, len(axis), len(axis)), dtype=np.complex128)
+        for lo in range(0, x.size, _GRID_PIECE):
+            a = _phase_rows(axis, x[lo : lo + _GRID_PIECE])
+            b = _phase_rows(axis, y[lo : lo + _GRID_PIECE])
+            grid_sums[0] += a @ b.T
+            grid_sums[1] += a @ np.conjugate(b, out=b).T  # in place: no copy of B
+        return np.concatenate([moments, grid_sums.ravel()])
+
+    total = _mc_mean(mc, sums)
+    k = total.size - 2 * len(axis) ** 2
+    plus, minus = total[k:].reshape(2, len(axis), len(axis)) / count
+    points = []
+    for s, t in default_phi_grid():
+        phi, se = complex(1.0), 0.0
+        if s or t:
+            phi = complex((plus if (s < 0) == (t < 0) else minus)[axis.index(abs(s)), axis.index(abs(t))])
+            phi = phi.conjugate() if s < 0 else phi
+            se = math.sqrt(max(1.0 - abs(phi) ** 2, 0.0) / (count - 1)) if count > 1 else math.nan
+        points.append(CharFnPoint(s, t, phi, se, math.exp(-(s * s + t * t) / 4.0)))
+    moments = total[:k].real.reshape(-1, 2)
     est = [ValueWithError(*_mean_and_error(s1, s2, count)) for s1, s2 in moments]
     radial = ValueWithError(est[0].value / rt, est[0].std_error / rt)
     (s_mu, s_mumu), (s_nu, s_nunu), (s_munu, _) = moments[1:4]

@@ -127,12 +127,6 @@ def parse_freqs_file(path) -> FrequencySet:
     return make_frequency_set(values)
 
 
-def write_freqs_file(fs: FrequencySet, path) -> None:
-    with open(path, "w") as fh:
-        for k in fs:
-            fh.write(f"{k}\n")
-
-
 # ---------------------------------------------------------------------------
 # Point evaluation (exact dyadic reduction)
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ OpenBLAS's Prescott kernels; other CPUs are untested (README, Determinism).
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -52,6 +53,13 @@ class McConfig:
     chunk_size: int = 1 << 16
 
     def __post_init__(self):
+        for name in ("samples", "seed", "chunk_size"):  # Python or numpy integers, not bool
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.samples > MAX_MC_SAMPLES:

@@ -26,7 +26,7 @@ STREAM_Z = 1
 
 def _philox(seed: int, stream: int, chunk: int) -> np.random.Philox:
     key = np.array(
-        [np.uint64(seed & (2**64 - 1)), np.uint64((stream << 56) ^ chunk)],
+        [np.uint64(seed), np.uint64((stream << 56) ^ chunk)],  # McConfig keeps seed in [0, 2^64)
         dtype=np.uint64,
     )
     return np.random.Philox(key=key)

@@ -21,9 +21,7 @@ from lacsum import (
     clt_report,
     convergence_study,
     count_quadruple_solutions,
-    default_phi_grid,
     deviation_bound,
-    empirical_char_fn,
     exhaustive_sigma,
     fourth_moment_cos,
     gaussian_abs_mean,
@@ -156,8 +154,7 @@ def test_criterion_08_fourth_moment_and_markov():
 
 def test_criterion_09_char_fn_convergence():
     fs = lacunary_set(8, 16)
-    grid = default_phi_grid()
-    pts = empirical_char_fn(fs, grid, McConfig(samples=10**6, seed=9))
+    pts = clt_report(fs, McConfig(samples=10**6, seed=9)).phi_grid
     ok = True
     worst = 0.0
     for pt in pts:

@@ -182,6 +182,16 @@ def test_clt_kept_sample_cap_fails_fast(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["norms", "--lacunary", "8,4", "--method", "mc"], ["clt", "--lacunary", "8,4"], ["study", "--n-list", "2,4"],
+])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    code = run(["--runs-dir", str(tmp_path / "runs"), *command, "--seed", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err == "lacsum: error: seed must be in [0, 2^64), got -1\n"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_norms_p4_is_exact_beyond_the_quadrature_budget(tmp_path, capsys):
     code, out = run_in(tmp_path, "norms", "--p", "4", "--lacunary", "8,21", capsys=capsys)
     assert code == 0

@@ -22,7 +22,6 @@ from lacsum import (
     clt_report,
     default_phi_grid,
     deviation_bound,
-    empirical_char_fn,
     evaluate_sum,
     gaussian_abs_mean,
     ks_distance_to_normal,
@@ -30,14 +29,24 @@ from lacsum import (
     lacunary_set,
     make_frequency_set,
     product_moment,
-    sample_mu_nu,
     smoothing_bound,
     w_remainder,
 )
 from lacsum import rng as lrng
 from lacsum.cltlab import _GRID_PIECE, _MAX_KEPT_SAMPLES, _phase_rows, _truncated_abs_mean
 from lacsum.errors import CapacityExceeded, DomainError
+from lacsum.frequency import sum_components_dyadic
 from oracles import periodic_mean
+
+
+def mu_nu(fs, mc):
+    """mu and nu at full length, made as clt_report's pass makes them: S of each chunk's draws over sqrt(n)."""
+    parts = [
+        sum_components_dyadic(fs, lrng.chunk_uniform63(mc.seed, lrng.STREAM_THETA, c, k))
+        for c, k in lrng.chunk_layout(mc.samples, mc.chunk_size)
+    ]
+    rt = math.sqrt(fs.n)
+    return np.concatenate([im for _, im in parts]) / rt, np.concatenate([re for re, _ in parts]) / rt
 
 
 # ---------------------------------------------------------------- w remainder
@@ -289,24 +298,20 @@ def test_phase_row_without_its_half_is_libm_cos_sin():
         assert np.array_equal(row.real, np.cos(a * x)) and np.array_equal(row.imag, np.sin(a * x)), a
 
 
-def test_sample_mu_nu_deterministic():
+def test_clt_report_deterministic():
     fs = lacunary_set(8, 4)
     cfg = McConfig(samples=50_000, seed=9)
-    mu1, nu1 = sample_mu_nu(fs, cfg)
-    mu2, nu2 = sample_mu_nu(fs, cfg)
-    assert np.array_equal(mu1, mu2)
-    assert np.array_equal(nu1, nu2)
+    rep = clt_report(fs, cfg)
+    assert asdict(rep) == asdict(clt_report(fs, cfg))
     # Parseval: each coordinate has variance 1/2
-    assert abs(np.var(mu1) - 0.5) < 0.01
-    assert abs(np.var(nu1) - 0.5) < 0.01
+    assert abs(rep.cov_hat[0][0] - 0.5) < 0.01
+    assert abs(rep.cov_hat[1][1] - 0.5) < 0.01
 
 
-def test_empirical_char_fn_origin_exact():
-    pts = empirical_char_fn(
-        lacunary_set(8, 3), [(0.0, 0.0)], McConfig(samples=1000, seed=0)
-    )
-    assert pts[0].phi == 1.0 + 0.0j
-    assert pts[0].std_error == 0.0
+def test_clt_report_char_fn_origin_exact():
+    pts = {(pt.s, pt.t): pt for pt in clt_report(lacunary_set(8, 3), McConfig(samples=1000, seed=0)).phi_grid}
+    assert pts[0.0, 0.0].phi == 1.0 + 0.0j
+    assert pts[0.0, 0.0].std_error == 0.0
 
 
 def j0(s, terms=30):
@@ -314,28 +319,21 @@ def j0(s, terms=30):
     return sum((-1) ** k * (s / 2) ** (2 * k) / math.factorial(k) ** 2 for k in range(terms))
 
 
-def test_empirical_char_fn_singleton_bessel():
+def test_clt_report_char_fn_singleton_bessel():
     # n = 1: phi(s, 0) = E exp(i s sin 2 pi theta) = J_0(s)
-    pts = empirical_char_fn(
-        make_frequency_set([1]),
-        [(1.0, 0.0), (2.0, 0.0)],
-        McConfig(samples=200_000, seed=2),
-    )
+    pts = clt_report(make_frequency_set([1]), McConfig(samples=200_000, seed=2)).phi_grid
     for pt in pts:
-        assert abs(pt.phi - j0(pt.s)) < 5 * pt.std_error + 1e-12
+        if pt.s in (1.0, 2.0) and pt.t == 0.0:
+            assert abs(pt.phi - j0(pt.s)) < 5 * pt.std_error + 1e-12
 
 
-def test_empirical_char_fn_matches_per_point_reference():
+def test_clt_report_char_fn_matches_per_point_reference():
+    # the default grid has negative s and t, zero s or t on its axes, and both at the origin
     fs = lacunary_set(8, 6)
     mc = McConfig(samples=50_000, seed=12, chunk_size=4096)
-    mu, nu = sample_mu_nu(fs, mc)
-    grid = [
-        (-1.0, 0.5), (-2.0, -1.0), (-0.5, 0.0),  # negative s only
-        (0.0, 1.0), (0.0, -2.0), (1.0, 0.0), (2.0, -0.0),
-        (-0.0, 0.0), (0.3, -0.7), (0.3, -0.7), (1.5, 0.25), (-0.3, 0.7),
-    ]
-    pts = empirical_char_fn(fs, grid, mc)
-    assert [(pt.s, pt.t) for pt in pts] == grid
+    mu, nu = mu_nu(fs, mc)
+    pts = clt_report(fs, mc).phi_grid
+    assert [(pt.s, pt.t) for pt in pts] == default_phi_grid()
     for pt in pts:
         if pt.s == 0.0 and pt.t == 0.0:
             assert (pt.phi, pt.std_error) == (1.0, 0.0)
@@ -353,8 +351,8 @@ def test_char_fn_sums_across_grid_pieces(monkeypatch):
     fs = lacunary_set(8, 6)
     chunk = 3 * _GRID_PIECE + 100
     mc = McConfig(samples=2 * chunk + _GRID_PIECE + 904, seed=29, chunk_size=chunk)
-    mu, nu = sample_mu_nu(fs, mc)
-    for pt in empirical_char_fn(fs, default_phi_grid(), mc):
+    mu, nu = mu_nu(fs, mc)
+    for pt in clt_report(fs, mc).phi_grid:
         z = np.exp(1j * (pt.s * mu + pt.t * nu))
         se = math.sqrt((z.real.var(ddof=1) + z.imag.var(ddof=1)) / z.size)
         assert abs(pt.phi - z.mean()) <= 1e-13, (pt.s, pt.t)
@@ -366,35 +364,25 @@ def test_char_fn_sums_across_grid_pieces(monkeypatch):
     assert reports[0] == reports[1]
 
 
-def test_empirical_char_fn_rejects_non_finite_points():
-    mc = McConfig(samples=1000, seed=0)
-    for bad in ((math.nan, 0.0), (1.0, math.inf), (-math.inf, 1.0)):
-        with pytest.raises(DomainError, match="finite"):
-            empirical_char_fn(lacunary_set(8, 3), [(1.0, 1.0), bad], mc)
+def test_clt_report_char_fn_single_sample():
+    pts = {(pt.s, pt.t): pt for pt in clt_report(lacunary_set(8, 3), McConfig(samples=1, seed=4)).phi_grid}
+    assert abs(abs(pts[1.0, 0.5].phi) - 1.0) < 1e-15
+    assert math.isnan(pts[1.0, 0.5].std_error)
+    assert (pts[0.0, 0.0].phi, pts[0.0, 0.0].std_error) == (1.0, 0.0)
 
 
-def test_empirical_char_fn_single_sample():
-    pts = empirical_char_fn(
-        lacunary_set(8, 3), [(1.0, 0.5), (0.0, 0.0)], McConfig(samples=1, seed=4)
-    )
-    assert abs(abs(pts[0].phi) - 1.0) < 1e-15
-    assert math.isnan(pts[0].std_error)
-    assert (pts[1].phi, pts[1].std_error) == (1.0, 0.0)
-
-
-def test_empirical_char_fn_near_gaussian():
+def test_clt_report_char_fn_near_gaussian():
     fs = lacunary_set(8, 16)
-    pts = empirical_char_fn(fs, [(1.0, 1.0)], McConfig(samples=300_000, seed=5))
-    pt = pts[0]
+    pts = {(pt.s, pt.t): pt for pt in clt_report(fs, McConfig(samples=300_000, seed=5)).phi_grid}
+    pt = pts[1.0, 1.0]
     gauss = math.exp(-0.5)
     assert abs(pt.phi - gauss) < 0.01 + 4 * pt.std_error
 
 
 def test_char_fn_within_deviation_bound_on_grid():
     fs = lacunary_set(8, 16)
-    grid = [(s, t) for (s, t) in default_phi_grid() if deviation_bound(s, t, 16) < 1.0]
-    pts = empirical_char_fn(fs, grid, McConfig(samples=200_000, seed=8))
-    for pt in pts:
+    pts = clt_report(fs, McConfig(samples=200_000, seed=8)).phi_grid
+    for pt in (pt for pt in pts if deviation_bound(pt.s, pt.t, 16) < 1.0):
         gauss = math.exp(-(pt.s**2 + pt.t**2) / 4)
         gap = abs(pt.phi - gauss)
         assert gap <= deviation_bound(pt.s, pt.t, fs.n) + 4 * pt.std_error
@@ -502,8 +490,7 @@ def test_clt_report_is_one_pass_of_the_references():
     assert rep.radial_std_error == est.std_error / math.sqrt(fs.n)
     assert rep.chain_audit.e_abs_x.value == rep.radial_mean
     assert rep.chain_audit.e_abs_x.std_error == rep.radial_std_error
-    assert rep.phi_grid == empirical_char_fn(fs, default_phi_grid(), mc)
-    mu, nu = sample_mu_nu(fs, mc)
+    mu, nu = mu_nu(fs, mc)
     assert rep.ks_mu == ks_distance_to_normal(mu, 0.5)
     assert rep.ks_nu == ks_distance_to_normal(nu, 0.5)
 
@@ -514,7 +501,7 @@ def test_clt_report_matches_full_array_reference():
     fs = lacunary_set(8, 8)
     mc = McConfig(samples=50_000, seed=12, chunk_size=4096)
     rep = clt_report(fs, mc, with_chain_audit=True)
-    mu, nu = sample_mu_nu(fs, mc)
+    mu, nu = mu_nu(fs, mc)
     layout = lrng.chunk_layout(mc.samples, mc.chunk_size)
     audit = rep.chain_audit
 
@@ -637,36 +624,16 @@ def test_clt_report_grid_rows_are_piece_sized(monkeypatch):
     assert (peak - 16 * mc.samples) / (1 << 20) <= 5
 
 
-@pytest.mark.parametrize("keeper", [sample_mu_nu, clt_report])
-def test_kept_samples_are_capped_before_any_draw(keeper):
+def test_kept_samples_are_capped_before_any_draw():
     start = time.perf_counter()
     with pytest.raises(CapacityExceeded, match=str(_MAX_KEPT_SAMPLES)):
-        keeper(lacunary_set(8, 4), McConfig(samples=_MAX_KEPT_SAMPLES + 1, seed=1))
+        clt_report(lacunary_set(8, 4), McConfig(samples=_MAX_KEPT_SAMPLES + 1, seed=1))
     assert time.perf_counter() - start < 1.0
 
 
 def test_ks_distance_leaves_its_sample_unsorted():
     # clt_report sorts its own mu and nu in place; the public function sorts a copy
-    mu, _ = sample_mu_nu(lacunary_set(8, 6), McConfig(samples=5000, seed=4))
+    mu, _ = mu_nu(lacunary_set(8, 6), McConfig(samples=5000, seed=4))
     kept = mu.copy()
     ks_distance_to_normal(mu, 0.5)
     assert np.array_equal(mu, kept)
-
-
-def test_empirical_char_fn_memory_is_chunk_sized(monkeypatch):
-    # the char fn keeps per-chunk sums only: no array grows with the samples
-    monkeypatch.setenv("LACSUM_THREADS", "1")
-    fs = lacunary_set(8, 6)
-    grid = default_phi_grid()
-    empirical_char_fn(fs, grid, McConfig(samples=1000, seed=1))
-    peaks = []
-    tracemalloc.start()
-    try:
-        for samples in (1 << 18, 1 << 19):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            empirical_char_fn(fs, grid, McConfig(samples=samples, seed=1))
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-    finally:
-        tracemalloc.stop()
-    assert (peaks[1] - peaks[0]) / (1 << 18) <= 1

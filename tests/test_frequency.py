@@ -10,7 +10,6 @@ from lacsum import (
     lacunary_set,
     make_frequency_set,
     parse_freqs_file,
-    write_freqs_file,
 )
 from lacsum import frequency as fq
 from lacsum.errors import DomainError
@@ -250,7 +249,7 @@ def test_small_kernel_path_matches_the_block_loop(n):
 def test_freqs_file_roundtrip(tmp_path):
     fs = make_frequency_set([1, 8, 64, 4097])
     path = tmp_path / "freqs.txt"
-    write_freqs_file(fs, path)
+    path.write_text("".join(f"{k}\n" for k in fs))
     assert parse_freqs_file(path).freqs == fs.freqs
     # comments and blank lines are ignored
     path.write_text("# comment\n3\n\n7\n# tail\n9\n")

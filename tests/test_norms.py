@@ -17,8 +17,6 @@ from lacsum import (
     canonicalize,
     clt_report,
     convergence_study,
-    default_phi_grid,
-    empirical_char_fn,
     fourth_moment_cos,
     l1_monte_carlo,
     lacunary_set,
@@ -26,7 +24,6 @@ from lacsum import (
     make_frequency_set,
     markov_tail_fraction,
     mian_chowla,
-    sample_mu_nu,
 )
 from lacsum import frequency, norms, quadrature, rng
 from lacsum.energy import count_quadruple_solutions
@@ -239,7 +236,6 @@ def test_mc_deterministic_across_worker_counts():
                 est.std_error,
                 convergence_study(8, [3, 10, 6], cfg),
                 markov_tail_fraction(fs, cfg),
-                empirical_char_fn(fs, [(0.5, 1.0), (-1.0, 0.5), (0.5, -2.0), (-0.5, -1.0)], cfg),
                 clt_report(fs, cfg, with_chain_audit=True),
             ))
     finally:
@@ -435,8 +431,6 @@ def test_every_mc_statistic_draws_each_chunk_once(monkeypatch):
         lambda: l1_monte_carlo(fs, mc),
         lambda: convergence_study(8, [4, 2, 3], mc),
         lambda: markov_tail_fraction(fs, mc),
-        lambda: empirical_char_fn(fs, default_phi_grid(), mc),
-        lambda: sample_mu_nu(fs, mc),
         lambda: clt_report(fs, mc, with_chain_audit=True),
     ):
         draws.clear()
@@ -552,6 +546,29 @@ def test_mc_config_caps_samples():
     with pytest.raises(BudgetExceeded, match="MAX_MC_SAMPLES = 10000000000"):
         McConfig(samples=MAX_MC_SAMPLES + 1)
     assert McConfig(samples=MAX_MC_SAMPLES).samples == MAX_MC_SAMPLES
+
+
+def test_mc_config_fields_are_integers_and_the_seed_is_64_bit():
+    # a float, bool or out-of-range field is refused by name, not deep in rng;
+    # a seed reduced mod 2^64 would give -1 and 2^64 - 1 one stream
+    for kwargs, name in (
+        ({"samples": 1e4}, "samples"),
+        ({"samples": True}, "samples"),
+        ({"samples": 10_000, "chunk_size": 4096.0}, "chunk_size"),
+        ({"samples": 10_000, "chunk_size": np.True_}, "chunk_size"),
+        ({"samples": 10_000, "seed": 1.5}, "seed"),
+        ({"samples": 10_000, "seed": False}, "seed"),
+        ({"samples": 10_000, "seed": -1}, "seed"),
+        ({"samples": 10_000, "seed": 2**64}, "seed"),
+        ({"samples": 10_000, "seed": 5 + 2**64}, "seed"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            McConfig(**kwargs)
+    mc = McConfig(np.int64(10_000), seed=np.uint64(2**64 - 1), chunk_size=np.int32(4096))
+    assert mc == McConfig(10_000, seed=2**64 - 1, chunk_size=4096)
+    assert all(type(v) is int for v in (mc.samples, mc.seed, mc.chunk_size))
+    fs = lacunary_set(8, 4)
+    assert l1_monte_carlo(fs, mc) == l1_monte_carlo(fs, McConfig(10_000, seed=2**64 - 1, chunk_size=4096))
 
 
 def test_mc_config_caps_chunks():
