@@ -29,6 +29,8 @@ from .frequency import FrequencySet
 from .norms import McConfig, _abs, _map_chunks, _mc_mean, _mean_and_error, _moment_sums
 
 DEFAULT_PHI_AXIS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+# The distinct |s| and |t| of DEFAULT_PHI_AXIS: the a of the rows that _phase_rows builds.
+_PHI_ABS = (0.0, 0.5, 1.0, 2.0)
 
 # Live-exponent cap for _constant_term. A q-lacunary set keeps a few states
 # at any q >= 2, and small dense sets stay far below it; a dense set of large
@@ -39,9 +41,6 @@ _MAX_STATES = 1 << 16
 # sorted sample, and at the others only near the maximum.
 _KS_KNOT_STEP = 64
 _KS_SLACK = 1e-12
-
-# Squares between a _phase_rows row and the libm row it was taken from.
-_MAX_SQUARES = 2
 
 # Samples that clt_report keeps as mu and nu, 16 bytes each: 1.6 GB at the cap.
 _MAX_KEPT_SAMPLES = 10**8
@@ -283,32 +282,23 @@ def default_phi_grid() -> list[tuple[float, float]]:
     return [(s, t) for s in DEFAULT_PHI_AXIS for t in DEFAULT_PHI_AXIS]
 
 
-def _phase_rows(axis: list[float], x: np.ndarray) -> np.ndarray:
-    """e^{iax} for each a in axis (ascending), one row each; the row for a = 0 is exactly 1.
+def _phase_rows(x: np.ndarray) -> np.ndarray:
+    """e^{iax} for each a in _PHI_ABS, one row each; the row for a = 0 is exactly 1.
 
-    A row whose half a/2 is on the axis is the square of the half row, as
-    long as that leaves it at most _MAX_SQUARES squares from libm; every
-    other row is cos(ax) + i sin(ax) from libm, written into the row's real
-    and imaginary parts. The rounded (a/2) x doubles exactly to the rounded
-    a x, and each square at most doubles the error of its input, so a row of
-    two squares is within ~8 ulp of e^{iax}; an uncapped chain over
-    2^-20 .. 2^20 would lose ~2^40 ulp.
+    The row for a = 1/2 is cos(x/2) + i sin(x/2) from libm, written into the
+    row's real and imaginary parts; the rows for a = 1 and 2 are each the
+    square of the row before. The rounded x/2 doubles exactly to x, and each
+    square at most doubles the error of its input, so every row is within
+    ~8 ulp of e^{iax}.
     """
-    rows = np.empty((len(axis), x.size), dtype=np.complex128)
-    made = {}  # a -> (its row, the squares that made it)
-    for row, a in zip(rows, axis):
-        half, squares = made.get(a / 2, (None, _MAX_SQUARES))
-        if not a:
-            row.fill(1.0)
-        elif squares < _MAX_SQUARES:
-            np.square(half, out=row)
-            squares += 1
-        else:
-            np.multiply(a, x, out=row.real)
-            np.sin(row.real, out=row.imag)
-            np.cos(row.real, out=row.real)
-            squares = 0
-        made[a] = (row, squares)
+    rows = np.empty((len(_PHI_ABS), x.size), dtype=np.complex128)
+    rows[0].fill(1.0)
+    half = rows[1]
+    np.multiply(0.5, x, out=half.real)
+    np.sin(half.real, out=half.imag)
+    np.cos(half.real, out=half.real)
+    np.square(half, out=rows[2])
+    np.square(rows[2], out=rows[3])
     return rows
 
 
@@ -454,12 +444,13 @@ def clt_report(fs: FrequencySet, mc: McConfig, with_chain_audit: bool = False) -
     _moment_sums of |S| (norms._abs, as in l1_monte_carlo, so the radial
     mean is sum |S| / N / sqrt(n)), mu, nu, mu nu and, with the chain audit,
     the _chain_audit sums; then A B^T and A conj(B)^T, where A and B hold
-    e^{i|s| mu} and e^{i|t| nu} for the distinct |s| and |t| of
-    default_phi_grid(), built and multiplied _GRID_PIECE points at a time
-    and added up over the chunk. Each per-sample quantity is summed as soon
-    as it is made, so a chunk holds few arrays at once. _mc_mean sums the
-    vectors in a fixed order, so the result does not depend on the worker
-    count. Negative s follows from phi(-s, t) = conj phi(s, -t); as
+    e^{i|s| mu} and e^{i|t| nu} for |s|, |t| in _PHI_ABS = 0, 1/2, 1, 2,
+    the distinct |s| and |t| of default_phi_grid(): the _phase_rows of one
+    libm cos/sin pair and two squares, built and multiplied _GRID_PIECE
+    points at a time and added up over the chunk. Each per-sample quantity
+    is summed as soon as it is made, so a chunk holds few arrays at once.
+    _mc_mean sums the vectors in a fixed order, so the result does not
+    depend on the worker count. Negative s follows from phi(-s, t) = conj phi(s, -t); as
     |e^{ix}| = 1, the ddof=1 variances of Re and Im add up to
     N (1 - |phi|^2) / (N - 1).
 
@@ -476,7 +467,6 @@ def clt_report(fs: FrequencySet, mc: McConfig, with_chain_audit: bool = False) -
             f"the kept-sample cap is {_MAX_KEPT_SAMPLES} samples"
         )
     chain = (math.log(fs.n) ** 0.25, math.log(fs.n) ** -0.125) if with_chain_audit else None
-    axis = sorted({abs(a) for a in DEFAULT_PHI_AXIS})
     mu, nu = np.empty(count), np.empty(count)
 
     def sums(item, m):
@@ -489,22 +479,22 @@ def clt_report(fs: FrequencySet, mc: McConfig, with_chain_audit: bool = False) -
         moments += _moment_sums(x, y, x * y)
         if chain:
             moments += _chain_audit(mc, chain, item, x, y)
-        grid_sums = np.zeros((2, len(axis), len(axis)), dtype=np.complex128)
+        grid_sums = np.zeros((2, len(_PHI_ABS), len(_PHI_ABS)), dtype=np.complex128)
         for lo in range(0, x.size, _GRID_PIECE):
-            a = _phase_rows(axis, x[lo : lo + _GRID_PIECE])
-            b = _phase_rows(axis, y[lo : lo + _GRID_PIECE])
+            a = _phase_rows(x[lo : lo + _GRID_PIECE])
+            b = _phase_rows(y[lo : lo + _GRID_PIECE])
             grid_sums[0] += a @ b.T
             grid_sums[1] += a @ np.conjugate(b, out=b).T  # in place: no copy of B
         return np.concatenate([moments, grid_sums.ravel()])
 
     total = _mc_mean(mc, sums)
-    k = total.size - 2 * len(axis) ** 2
-    plus, minus = total[k:].reshape(2, len(axis), len(axis)) / count
+    k = total.size - 2 * len(_PHI_ABS) ** 2
+    plus, minus = total[k:].reshape(2, len(_PHI_ABS), len(_PHI_ABS)) / count
     points = []
     for s, t in default_phi_grid():
         phi, se = complex(1.0), 0.0
         if s or t:
-            phi = complex((plus if (s < 0) == (t < 0) else minus)[axis.index(abs(s)), axis.index(abs(t))])
+            phi = complex((plus if (s < 0) == (t < 0) else minus)[_PHI_ABS.index(abs(s)), _PHI_ABS.index(abs(t))])
             phi = phi.conjugate() if s < 0 else phi
             se = math.sqrt(max(1.0 - abs(phi) ** 2, 0.0) / (count - 1)) if count > 1 else math.nan
         points.append(CharFnPoint(s, t, phi, se, math.exp(-(s * s + t * t) / 4.0)))

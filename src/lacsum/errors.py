@@ -18,7 +18,7 @@ class CapacityExceeded(LacsumError):
 
 
 class SearchSpaceTooLarge(LacsumError):
-    """Exhaustive enumeration would exceed the evaluation guard."""
+    """A search would exceed its guard: exhaustive candidates or anneal kernel terms."""
 
 
 class DomainError(LacsumError, ValueError):

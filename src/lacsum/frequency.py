@@ -63,13 +63,6 @@ class FrequencySet:
     def k_max(self) -> int:
         return self.freqs[-1]
 
-    @property
-    def gap_ratio(self) -> float:
-        """Smallest ratio k_{j+1}/k_j; inf for singletons."""
-        if self.n == 1:
-            return math.inf
-        return min(b / a for a, b in zip(self.freqs, self.freqs[1:]))
-
     def __iter__(self):
         return iter(self.freqs)
 

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DomainError, SearchSpaceTooLarge
 from .frequency import FrequencySet, canonicalize, lacunary_set, make_frequency_set
 from .norms import McConfig, NormEstimate, _l1_prefixes, lp_norm_quadrature
+from .quadrature import MAX_HARMONIC
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0
 
@@ -33,8 +34,12 @@ SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0
 # counts them; it admits (6, 30), 118 755 of them, of which it measures the
 # 58 680 sets of the mirror halving in ~3 min on 2 vCPUs.
 MAX_EXHAUSTIVE_CANDIDATES = 200_000
-# anneal_sigma draws frequencies up to max_freq, which may not exceed this
-MAX_ANNEAL_FREQ = 10**6
+# anneal_sigma refuses a walk whose scoring could evaluate more first-level
+# kernel terms than this, (budget + min(100, budget) + 1) sets of n terms at
+# 64 nodes per unit of max_freq. At the cap, (n, max_freq, budget) =
+# (12, 1000, 1200) takes ~58 s on 2 vCPUs; the count leaves out refinement,
+# which grows with n: (100, 1000, 77) took 207 s.
+MAX_ANNEAL_TERMS = 10**9
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,18 @@ def anneal_sigma(n: int, max_freq: int, budget: int, seed: int) -> SearchResult:
     set; best_value and value_error are its measurement, as in
     exhaustive_sigma, and evaluations counts the distinct sets scored. For
     n = 1 every set is {1}, scored exactly 1.0 with error_bound 0.0.
+
+    max_freq may not exceed quadrature.MAX_HARMONIC, above which the rule
+    would raise FrequencyTooLarge mid-walk, and a walk over MAX_ANNEAL_TERMS
+    raises SearchSpaceTooLarge before any set is scored.
     """
     if budget < 1:
         raise DomainError("budget must be >= 1")
-    if n < 1 or max_freq < n or max_freq > MAX_ANNEAL_FREQ:
-        raise DomainError(f"need 1 <= n <= max_freq <= {MAX_ANNEAL_FREQ}")
+    if n < 1 or max_freq < n or max_freq > MAX_HARMONIC:
+        raise DomainError(f"need 1 <= n <= max_freq <= {MAX_HARMONIC}, the quadrature limit")
+    terms = (budget + min(100, budget) + 1) * n * 64 * max_freq
+    if terms > MAX_ANNEAL_TERMS:
+        raise SearchSpaceTooLarge(f"up to {terms} first-level kernel terms (guard {MAX_ANNEAL_TERMS})")
 
     rg = np.random.default_rng(seed)
     cache: dict[tuple, NormEstimate] = {}

@@ -68,12 +68,6 @@ def test_lacunary_set_rejects_huge_n_before_the_power():
     assert time.perf_counter() - start < 1.0
 
 
-def test_gap_ratio():
-    assert lacunary_set(8, 5).gap_ratio == 8.0
-    assert make_frequency_set([2, 3, 12]).gap_ratio == 1.5
-    assert math.isinf(make_frequency_set([7]).gap_ratio)
-
-
 def test_evaluate_sum_exact_points():
     fs = make_frequency_set([1, 2, 5])
     assert evaluate_sum(fs, 0.0) == 3.0 + 0.0j

@@ -20,7 +20,9 @@ from lacsum import (
     lp_norm_quadrature,
     make_frequency_set,
 )
+from lacsum import search
 from lacsum.errors import DomainError, SearchSpaceTooLarge
+from lacsum.quadrature import MAX_HARMONIC
 from lacsum.search import _canonical_candidates
 
 
@@ -189,8 +191,21 @@ def test_exhaustive_space_guard():
 
 
 def test_anneal_cap_message_names_the_cap():
-    with pytest.raises(DomainError, match="1000000"):
-        anneal_sigma(3, max_freq=10**6 + 1, budget=10, seed=0)
+    # above the quadrature limit the rule would raise mid-walk; refused up front
+    with pytest.raises(DomainError, match=f"{MAX_HARMONIC}, the quadrature limit"):
+        anneal_sigma(2, max_freq=MAX_HARMONIC + 1, budget=1, seed=0)
+
+
+def test_anneal_refuses_a_walk_over_its_work_guard_before_scoring(monkeypatch):
+    # (10^4 + 100 + 1) sets of 3 terms at 64 * 10^6 nodes: ~8 hours of scoring
+    def no_scoring(*args):
+        raise AssertionError("a set was scored")
+
+    monkeypatch.setattr(search, "lp_norm_quadrature", no_scoring)
+    terms = (10**4 + 100 + 1) * 3 * 64 * 10**6
+    with pytest.raises(SearchSpaceTooLarge, match=f"up to {terms} first-level kernel terms") as err:
+        anneal_sigma(3, 10**6, 10**4, 1)
+    assert f"(guard {search.MAX_ANNEAL_TERMS})" in str(err.value)
 
 
 def test_anneal_recovers_known_optimum():
