@@ -47,14 +47,6 @@ _API = {
         "LacsumError",
         "SearchSpaceTooLarge",
     ),
-    "frequency": (
-        "FrequencySet",
-        "canonicalize",
-        "evaluate_sum",
-        "lacunary_set",
-        "make_frequency_set",
-        "parse_freqs_file",
-    ),
     "norms": (
         "McConfig",
         "NormEstimate",
@@ -71,9 +63,19 @@ _API = {
         "convergence_study",
         "exhaustive_sigma",
     ),
+    "sets": (
+        "FrequencySet",
+        "canonicalize",
+        "evaluate_sum",
+        "lacunary_set",
+        "make_frequency_set",
+        "parse_freqs_file",
+    ),
 }
 _OWNER = {name: module for module, names in _API.items() for name in names}
-_SUBMODULES = ("cli", "cltlab", "energy", "errors", "frequency", "norms", "quadrature", "records", "rng", "search")
+_SUBMODULES = (
+    "cli", "cltlab", "energy", "errors", "frequency", "norms", "quadrature", "records", "rng", "search", "sets",
+)
 
 __all__ = sorted(_OWNER)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import records
 from .errors import FrequencyTooLarge, LacsumError
-from .frequency import lacunary_set, make_frequency_set, parse_freqs_file
+from .sets import evaluate_sum, lacunary_set, make_frequency_set, parse_freqs_file
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,8 +151,6 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _exec_eval(config: dict):
-    from .frequency import evaluate_sum
-
     fs = make_frequency_set(config["freqs"])
     s = evaluate_sum(fs, float(config["theta"]))
     return {"schema": 1, "re": s.real, "im": s.imag, "abs": abs(s), "n": fs.n}

@@ -25,7 +25,7 @@ import numpy as np
 from . import frequency as fq
 from . import rng
 from .errors import CapacityExceeded, DomainError
-from .frequency import FrequencySet
+from .sets import FrequencySet
 from .norms import McConfig, _abs, _map_chunks, _mc_mean, _mean_and_error, _moment_sums
 
 DEFAULT_PHI_AXIS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)

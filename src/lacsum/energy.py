@@ -29,9 +29,12 @@ MAX_PAIR_SUMS for the numpy paths (n <= 16384; there the slowest, the sort
 path, takes ~3 s on a 2-vCPU Xeon) and MAX_WIDE_PAIR_SUMS for Python ints
 (n <= 1024, ~0.25 s).
 
-mian_chowla builds the greedy Sidon sequence from a bitmap of forbidden
-candidates. It is capped by its work, ~n^3/6 marks: MAX_SIDON_MARKS
-(n <= 1338, ~7 s and ~90 MB RSS on the same machine).
+mian_chowla builds the greedy Sidon sequence on three Python-int bitsets.
+It is capped by its work, ~n^3/6 marks: MAX_SIDON_MARKS (n <= 1338, ~2.5 s
+and ~41 MB RSS on the same machine).
+
+numpy is imported inside the counting paths only, so importing this module,
+or building a Mian-Chowla prefix, does not load it.
 """
 
 from __future__ import annotations
@@ -39,12 +42,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import CapacityExceeded, DomainError
-from .frequency import FrequencySet, make_frequency_set
+from .sets import FrequencySet, _as_int, make_frequency_set
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_PAIR_SUMS = 1 << 28
 MAX_WIDE_PAIR_SUMS = 1 << 20
@@ -84,6 +88,8 @@ def _pair_sum_energy(values: Sequence[int]) -> int:
     if wide:
         runs = Counter(a + b for i, a in enumerate(values) for b in values[i:])
         return 4 * sum(m * m for m in runs.values()) - sum(4 * runs[2 * a] - 1 for a in values)
+    import numpy as np
+
     u = np.sort(np.array([v - lo for v in values], dtype=np.int64))
     bins = 2 * span + 1
     if bins <= min(4 * n * n, _CHUNK_SUMS):
@@ -98,6 +104,8 @@ def _histogram_energy(u: np.ndarray, bins: int) -> int:
     is binned once, over its own sum range only, so its bins stay in cache; doubling h then gives both orders, and the diagonal tiles add
     their ordered pairs once. K = h . h.
     """
+    import numpy as np
+
     hist = np.zeros(bins, dtype=np.int64)
     tiles = [(int(t[0]), int(t[-1]), t - t[0]) for t in np.split(u, range(_TILE, u.size, _TILE))]
     for i, (a0, a1, a) in enumerate(tiles):
@@ -119,6 +127,8 @@ def _sorted_energy(u: np.ndarray) -> int:
     A band over _CHUNK_SUMS is retried narrower; one value has at most
     n <= _CHUNK_SUMS sums, so this ends.
     """
+    import numpy as np
+
     n = u.size
     top = 2 * int(u[-1])
     start = np.arange(n)  # per row, the first column not yet counted
@@ -141,6 +151,8 @@ def _sorted_energy(u: np.ndarray) -> int:
 
 def _band_energy(u: np.ndarray, start: np.ndarray, count: np.ndarray, m: int, diagonal: np.ndarray) -> int:
     """Energy of the m sums u_a + u_b, start_a <= b < start_a + count_a, whose diagonal sums 2 u_a are given."""
+    import numpy as np
+
     first = np.cumsum(count) - count  # where each row's columns start among the m sums
     cols = np.repeat(start - first, count)
     cols += np.arange(m)
@@ -167,38 +179,40 @@ def mian_chowla(n: int) -> FrequencySet:
     A candidate x past the last term c is forbidden iff x = b + d for a term b
     and a positive difference d of two terms. When c joins, the new forbidden
     candidates past c are exactly c + d over every difference d of the new
-    set (b + (c - a) = c + (b - a)), so those are marked in a bitmap and the
-    next term is its first unmarked entry past c. Every mark is below 2c, so
-    the next term is at most 2c, and the bitmap keeps only the candidates
-    past c: when 2c passes its end it is rebuilt over (c, 3c]. The work is
-    ~n^3/6 marks, capped at MAX_SIDON_MARKS (n <= 1338).
+    set (b + (c - a) = c + (b - a)). Three Python ints hold the state as
+    bitsets: r has bit j set iff c - j is a term, d iff j is 0 or a
+    difference, and f iff c + j is forbidden. When c joins, d |= r adds its
+    differences and f |= d marks c + d. The next term is c + g for the lowest
+    clear bit g > 0 of f; r and f then shift by g to count from it. Every
+    mark is below 2c, so g <= c, and a window doubling from 64 bits finds g
+    while reading only the low end of f. The work is ~n^3/6 marks, capped
+    at MAX_SIDON_MARKS (n <= 1338).
     """
+    n = _as_int(n, "n")
     if n < 1:
         raise DomainError("n must be >= 1")
     marks = n * (n - 1) * (n + 1) // 6  # sum over k < n of k (k + 1) / 2
     if marks > MAX_SIDON_MARKS:
         raise CapacityExceeded(
-            f"n = {n} needs ~{marks} bitmap marks; the greedy construction's limit is {MAX_SIDON_MARKS}"
+            f"n = {n} needs ~{marks} marks; the greedy construction's limit is {MAX_SIDON_MARKS}"
         )
-    seq = np.zeros(n, dtype=np.int64)
-    diffs = np.zeros(n * (n - 1) // 2, dtype=np.int64)
-    forbidden = np.zeros(1024, dtype=bool)  # forbidden[i] marks candidate lo + i
-    lo, c, used = 0, 1, 0
-    for k in range(n):
-        seq[k] = c
-        diffs[used : used + k] = c - seq[:k]
-        used += k
-        if 2 * c >= lo + forbidden.size:
-            live = np.zeros(2 * c, dtype=bool)
-            live[: lo + forbidden.size - c - 1] = forbidden[c + 1 - lo :]
-            forbidden, lo = live, c + 1
-        forbidden[c - lo + diffs[:used]] = True
-        # 2c is never marked, so a window doubling from c + 1 finds the next term
+    seq = [1]
+    terms, diffs, forbidden = 1, 0, 0  # the bitsets r, d and f
+    for _ in range(n - 1):
+        diffs |= terms
+        forbidden |= diffs
         width = 64
-        while forbidden[c + 1 - lo : c + 1 - lo + width].all():
+        while True:
+            window = (2 << width) - 1  # bits 0..width of f
+            free = (forbidden & window) ^ window  # bit 0, c itself, is set in f
+            if free:
+                break
             width *= 2
-        c += 1 + int(np.argmin(forbidden[c + 1 - lo : c + 1 - lo + width]))
-    return make_frequency_set(seq.tolist())
+        gap = (free & -free).bit_length() - 1
+        terms = terms << gap | 1
+        forbidden >>= gap
+        seq.append(seq[-1] + gap)
+    return make_frequency_set(seq)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from . import frequency as fq
 from . import rng
 from .energy import _pair_sum_energy, count_quadruple_solutions
 from .errors import BudgetExceeded, FrequencyTooLarge
-from .frequency import FrequencySet, canonicalize
+from .sets import FrequencySet, canonicalize
 from .quadrature import MAX_HARMONIC, integrate_abs_adaptive
 
 MAX_MC_SAMPLES = 10**10

@@ -3,7 +3,7 @@
 There is one rule, integrate_abs_adaptive: 8-point Gauss-Legendre on 8
 first-level panels per unit of the highest harmonic k_max (64 nodes per
 period), one integrand evaluation per level. norms.lp_norm_quadrature runs
-it on the canonical set (frequency.canonicalize): |S| of a*k + b is |S| of
+it on the canonical set (sets.canonicalize): |S| of a*k + b is |S| of
 k at a*theta, so the norm is the same and the cost follows the canonical
 k_max, not the given one. |S| has kinks at the zeros of S, so any panel
 that might contain a zero is bisected, to a fixed depth. A coarser first

@@ -2,7 +2,7 @@
 
 The L1 norm is invariant under shifting all frequencies and under dilating
 them by a positive integer, so the search runs over canonical
-representatives (frequency.canonicalize): minimum element 1 and gcd of
+representatives (sets.canonicalize): minimum element 1 and gcd of
 pairwise differences 1. The L1 rule measures every set as its canonical
 one, so a canonical candidate is measured as given. The mirror
 k -> 1 + k_max - k of a canonical set is canonical too, with the same
@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DomainError, SearchSpaceTooLarge
-from .frequency import FrequencySet, canonicalize, lacunary_set, make_frequency_set
+from .sets import FrequencySet, canonicalize, lacunary_set, make_frequency_set
 from .norms import McConfig, NormEstimate, _l1_prefixes, lp_norm_quadrature
 from .quadrature import MAX_HARMONIC
 

@@ -1,4 +1,4 @@
-"""Independent reference integrals for the tests; none of them uses lacsum's quadrature or kernels.
+"""Independent references for the tests; none of them uses lacsum's quadrature, kernels or sequences.
 
 A trigonometric polynomial of degree D has mean equal to its average over
 D + 1 equally spaced points, since every harmonic 0 < |h| <= D sums to zero
@@ -62,3 +62,19 @@ def l1_1_2_4_5_6_7_9_10():
     """
     return abs_cos_sum_mean([(2.0, 1), (2.0, 3), (2.0, 7), (2.0, 9)],
                             (1 / 10, 1 / 6, 3 / 10, 1 / 2, 7 / 10, 5 / 6, 9 / 10))
+
+
+def greedy_sidon(n):
+    """First n terms of the Mian-Chowla sequence, candidate by candidate.
+
+    A candidate x > the last term joins iff every sum x + a, for a term a or
+    a = x, is new among the sums of two terms; the set of those sums is kept.
+    """
+    terms, sums, x = [], set(), 0
+    while len(terms) < n:
+        x += 1
+        if 2 * x not in sums and not any(x + a in sums for a in terms):
+            sums.update(x + a for a in terms)
+            sums.add(2 * x)
+            terms.append(x)
+    return terms

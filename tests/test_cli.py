@@ -35,7 +35,7 @@ def test_import_loads_numpy_only():
         "before = set(sys.modules)\n"
         "import lacsum\n"
         "names = [m.name for m in pkgutil.iter_modules(lacsum.__path__)]\n"
-        "assert len(names) == 10, names\n"
+        "assert len(names) == 11, names\n"
         "for name in names: importlib.import_module('lacsum.' + name)\n"
         "files = {m: getattr(sys.modules[m], '__file__', None) or '' for m in set(sys.modules) - before}\n"
         "print(sorted({m.split('.')[0] for m, f in files.items() if f.startswith(dirs)}))\n"

@@ -19,8 +19,9 @@ from lacsum import (
 )
 from lacsum import energy
 from lacsum.energy import MAX_PAIR_SUMS, MAX_SIDON_MARKS, MAX_WIDE_PAIR_SUMS
-from lacsum.errors import CapacityExceeded
+from lacsum.errors import CapacityExceeded, DomainError
 from lacsum.norms import fourth_moment_cos
+from oracles import greedy_sidon
 
 
 def brute_energy(freqs):
@@ -167,9 +168,15 @@ def test_mian_chowla_known_terms():
     assert mian_chowla(200).freqs[-1] == 172922
 
 
-def test_mian_chowla_bitmap_keeps_only_the_candidates_past_the_last_term():
-    # a_800 = 7 600 544: a window over (c, 3c] peaks below 30 MiB, where a
-    # bitmap over [0, ~4c] that grows by concatenation peaks at ~43 MB
+def test_mian_chowla_matches_the_candidate_by_candidate_greedy():
+    reference = greedy_sidon(150)
+    for n in range(1, 151):
+        assert mian_chowla(n).freqs == tuple(reference[:n]), n
+
+
+def test_mian_chowla_bitsets_stay_small():
+    # a_800 = 7 600 544: each bitset holds < c bits (~0.9 MiB), and the
+    # three with the copies that each step makes peak at ~4.9 MiB
     tracemalloc.start()
     try:
         last = mian_chowla(800).freqs[-1]
@@ -177,7 +184,17 @@ def test_mian_chowla_bitmap_keeps_only_the_candidates_past_the_last_term():
     finally:
         tracemalloc.stop()
     assert last == 7600544
-    assert peak < 30 * 2**20
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "3"])
+def test_mian_chowla_takes_integers_only(n):
+    with pytest.raises(DomainError, match=f"n {n!r} is not an integer"):
+        mian_chowla(n)
+
+
+def test_mian_chowla_takes_numpy_integers():
+    assert mian_chowla(np.int64(10)).freqs == mian_chowla(10).freqs
 
 
 def test_mian_chowla_capacity_guard():

@@ -61,6 +61,23 @@ def test_lacunary_set():
         lacunary_set(8, 22)
 
 
+def test_lacunary_set_takes_numpy_integers():
+    fs = lacunary_set(np.int64(8), np.uint8(3))
+    assert fs.freqs == (8, 64, 512)
+    assert all(type(k) is int for k in fs.freqs)
+
+
+@pytest.mark.parametrize("q, n, named", [
+    (8, True, "length n True"),
+    (8, 2.5, "length n 2.5"),
+    (True, 3, "lacunary base q True"),
+    (8.0, 3, "lacunary base q 8.0"),
+])
+def test_lacunary_set_rejects_bool_and_float(q, n, named):
+    with pytest.raises(DomainError, match=f"^{named} is not an integer$"):
+        lacunary_set(q, n)
+
+
 def test_lacunary_set_rejects_huge_n_before_the_power():
     start = time.perf_counter()
     with pytest.raises(DomainError, match="8\\^1000000000 exceeds the 64-bit frequency range"):

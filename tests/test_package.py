@@ -13,7 +13,9 @@ import pytest
 import lacsum
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-SUBMODULES = ["cli", "cltlab", "energy", "errors", "frequency", "norms", "quadrature", "records", "rng", "search"]
+SUBMODULES = [
+    "cli", "cltlab", "energy", "errors", "frequency", "norms", "quadrature", "records", "rng", "search", "sets",
+]
 
 
 def _python(*args, env=None):
@@ -41,6 +43,9 @@ def _skip_where_numpy_loads_them():
 
 def test_every_public_name_is_its_submodules_own_object():
     assert len(lacsum.__all__) == 46
+    # the set type and its constructors live in the numpy-free module, not beside the kernel
+    for name in ("FrequencySet", "canonicalize", "evaluate_sum", "lacunary_set", "make_frequency_set", "parse_freqs_file"):
+        assert lacsum._OWNER[name] == "sets", name
     assert lacsum.__all__ == sorted(lacsum.__all__)
     for name in lacsum.__all__:
         owner = importlib.import_module(f"lacsum.{lacsum._OWNER[name]}")
@@ -70,12 +75,35 @@ def test_import_lacsum_loads_no_layer():
     assert _python("-c", code).stdout.strip() == "[]"
 
 
+def _imported(*cli_args) -> set:
+    """Every module a fresh `python -m lacsum.cli *cli_args` imports, as -X importtime names them."""
+    out = _python("-X", "importtime", "-m", "lacsum.cli", *cli_args)
+    return {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
+
+
 def test_cli_eval_loads_only_its_layer():
-    # -X importtime names every module the command imports
-    out = _python("-X", "importtime", "-m", "lacsum.cli", "--no-record", "eval", "--freqs", "1,2", "--theta", "0.25")
-    imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
-    assert "lacsum.frequency" in imported
-    assert imported.isdisjoint({"lacsum.norms", "lacsum.cltlab", "lacsum.search"})
+    imported = _imported("--no-record", "eval", "--freqs", "1,2", "--theta", "0.25")
+    assert "lacsum.sets" in imported
+    assert imported.isdisjoint({"lacsum.frequency", "lacsum.norms", "lacsum.cltlab", "lacsum.search"})
+
+
+def test_cli_eval_and_sidon_and_their_replays_load_no_numpy(tmp_path):
+    # neither command evaluates in bulk, so neither pays for importing numpy
+    runs = tmp_path / "runs"
+    commands = (["eval", "--freqs", "1,2,5", "--theta", "0.3"], ["sidon", "--n", "20"])
+    for args in commands:
+        assert _imported("--no-record", *args).isdisjoint({"numpy", "lacsum.frequency"}), args
+        _python("-m", "lacsum.cli", "--runs-dir", str(runs), *args)
+    recorded = sorted(runs.iterdir())
+    assert len(recorded) == len(commands)
+    for run_dir in recorded:
+        assert _imported("--no-record", "replay", str(run_dir)).isdisjoint({"numpy", "lacsum.frequency"}), run_dir
+
+
+def test_import_energy_loads_no_numpy():
+    # numpy is imported inside the counting paths only; mian_chowla works on Python ints
+    code = "import sys, lacsum.energy\nprint('numpy' in sys.modules)\n"
+    assert _python("-c", code).stdout.strip() == "False"
 
 
 def test_exact_layers_load_no_sampling_module():
@@ -99,8 +127,7 @@ def test_exact_layers_load_no_sampling_module():
 
 def test_cli_search_loads_no_sampling_module():
     _skip_where_numpy_loads_them()
-    out = _python("-X", "importtime", "-m", "lacsum.cli", "--no-record", "search", "--n", "3", "--max-freq", "12")
-    imported = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
+    imported = _imported("--no-record", "search", "--n", "3", "--max-freq", "12")
     assert {"lacsum.search", "lacsum.quadrature", "lacsum.rng"} <= imported
     assert imported.isdisjoint(SAMPLING_ONLY)
 
