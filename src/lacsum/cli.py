@@ -12,10 +12,8 @@ computation error, 3 replay mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
-import secrets
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -89,7 +87,11 @@ def _whole_number(text: str) -> int:
 
 
 def _resolve_seed(value) -> int:
-    return int(value) if value is not None else secrets.randbits(63)
+    if value is not None:
+        return int(value)
+    import secrets
+
+    return secrets.randbits(63)
 
 
 def build_parser() -> _Parser:
@@ -308,6 +310,8 @@ def _output(flag: str, path: str):
 
 
 def _write_csv(path: str, columns: list, rows: list[dict]) -> None:
+    import csv
+
     with _output("--csv", path) as fh:
         writer = csv.DictWriter(fh, columns)
         writer.writeheader()

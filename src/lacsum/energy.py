@@ -8,18 +8,19 @@ the rigorous bound ||S||_1 >= n^{3/2} / sqrt(K) via
 One counter serves every caller (count_quadruple_solutions, is_sidon,
 holder_lower_bound, and norms.fourth_moment_cos on F u -F). Each path adds
 the n (n + 1) / 2 unordered pairs a <= b once and turns their counts into
-the ordered energy (_pair_sum_energy). It shifts the values by their
-minimum and takes the first path that fits:
+the ordered energy (_pair_sum_energy). It takes the first path that fits:
 
-1. Histogram, while the span is dense: 2 span + 1 bins, at most 4 n^2 and
-   at most _CHUNK_SUMS. The sorted values are cut into tiles of _TILE;
-   np.bincount bins each pair of tiles over that pair's own sum range only,
-   so its bins stay in cache, into one int64 histogram h of the ordered
-   sums, and K = h . h.
-2. Sort, while every sum stays below 2^63 (span < 2^62): the sum range is
-   cut into bands of at most _CHUNK_SUMS sums; each band is gathered from
-   the sorted values by searchsorted, sorted, and its runs counted.
-3. Python ints, when the span reaches 2^62 and a sum could reach 2^63.
+1. Python ints, for at most _SMALL_VALUES = 16 values, where a Counter of
+   the pair sums costs no more than numpy's per-call overhead and numpy is
+   not imported, or when the span reaches 2^62 and a sum could reach 2^63.
+2. Histogram, while the span of the values, shifted by their minimum, is
+   dense: 2 span + 1 bins, at most 4 n^2 and at most _CHUNK_SUMS. The
+   sorted values are cut into tiles of _TILE; np.bincount bins each pair of
+   tiles over that pair's own sum range only, so its bins stay in cache,
+   into one int64 histogram h of the ordered sums, and K = h . h.
+3. Sort, otherwise (every sum stays below 2^63): the sum range is cut into
+   bands of at most _CHUNK_SUMS sums; each band is gathered from the sorted
+   values by searchsorted, sorted, and its runs counted.
 
 Memory: the histogram path holds h (at most _CHUNK_SUMS = 2^20 int64,
 8 MB) and one tile pair's 2^14 sums; the sort path a few buffers of one
@@ -27,14 +28,15 @@ band's sums (8 MB each at most). The count is capped by its work, n^2
 ordered pair sums, and raises CapacityExceeded before it starts:
 MAX_PAIR_SUMS for the numpy paths (n <= 16384; there the slowest, the sort
 path, takes ~3 s on a 2-vCPU Xeon) and MAX_WIDE_PAIR_SUMS for Python ints
-(n <= 1024, ~0.25 s).
+at a span of 2^62 or more (n <= 1024, ~0.25 s).
 
 mian_chowla builds the greedy Sidon sequence on three Python-int bitsets.
 It is capped by its work, ~n^3/6 marks: MAX_SIDON_MARKS (n <= 1338, ~2.5 s
 and ~41 MB RSS on the same machine).
 
-numpy is imported inside the counting paths only, so importing this module,
-or building a Mian-Chowla prefix, does not load it.
+numpy is imported inside the numpy counting paths only, so importing this
+module, counting a set of at most 16 values, or building a Mian-Chowla
+prefix does not load it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, starmap
+from operator import add
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import CapacityExceeded, DomainError
@@ -60,6 +64,12 @@ _CHUNK_SUMS = 1 << 20
 _TILE = 1 << 7
 # Two shifted values below 2^62 sum to less than 2^63, i.e. fit in int64.
 _INT64_SPAN = 1 << 62
+# Values up to which the Counter of Python-int sums is used at any span. In
+# process, with numpy already loaded (2-vCPU Xeon, numpy 2.4.6), 16 values
+# took 20-32 us there against 24-32 us on the histogram path and 35-56 us on
+# the sort path; from 18-20 values the histogram path was faster, and at 32
+# values both numpy paths were.
+_SMALL_VALUES = 16
 
 
 def count_quadruple_solutions(fs: FrequencySet) -> int:
@@ -85,8 +95,8 @@ def _pair_sum_energy(values: Sequence[int]) -> int:
             f"n = {n} values make {n * n} pair sums; the counter's limit is {limit}"
             + (" for a span of 2^62 or more" if wide else "")
         )
-    if wide:
-        runs = Counter(a + b for i, a in enumerate(values) for b in values[i:])
+    if wide or n <= _SMALL_VALUES:
+        runs = Counter(starmap(add, combinations_with_replacement(values, 2)))
         return 4 * sum(m * m for m in runs.values()) - sum(4 * runs[2 * a] - 1 for a in values)
     import numpy as np
 

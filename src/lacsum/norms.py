@@ -13,6 +13,8 @@ theta and one running sum of S; l1_monte_carlo is the case of a single prefix.
 
 lp_norm_quadrature measures one set per call with the one L1 rule
 (quadrature.integrate_abs_adaptive); the search calls it once per candidate.
+Its exact L4 norm and fourth_moment_cos import energy when they run, so the
+L1 and Monte Carlo paths do not load it.
 Every |S|, sampled or in the rule, is _abs of the sum's parts: no libm call
 and no BLAS, so both keep their bits under numpy's baseline loops and
 OpenBLAS's Prescott kernels; other CPUs are untested (README, Determinism).
@@ -31,7 +33,6 @@ import numpy as np
 
 from . import frequency as fq
 from . import rng
-from .energy import _pair_sum_energy, count_quadruple_solutions
 from .errors import BudgetExceeded, FrequencyTooLarge
 from .sets import FrequencySet, canonicalize
 from .quadrature import MAX_HARMONIC, integrate_abs_adaptive
@@ -226,6 +227,8 @@ def lp_norm_quadrature(fs: FrequencySet, p: int) -> NormEstimate:
     if p not in (1, 2, 4):
         raise ValueError("p must be one of 1, 2, 4")
     if p != 1:
+        from .energy import count_quadruple_solutions
+
         value = math.sqrt(fs.n) if p == 2 else count_quadruple_solutions(fs) ** 0.25
         return NormEstimate(p=p, value=value, normalized=None, std_error=None, method="exact", n=fs.n)
     c = canonicalize(fs)
@@ -288,6 +291,8 @@ def fourth_moment_cos(fs: FrequencySet) -> float:
     trigonometric polynomial, so its fourth moment is (1/16) times the
     additive energy of F u -F (Parseval).
     """
+    from .energy import _pair_sum_energy
+
     return _pair_sum_energy(fs.freqs + tuple(-k for k in fs.freqs)) / 16
 
 

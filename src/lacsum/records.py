@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass
@@ -24,6 +23,8 @@ class RunRecord:
 
 
 def config_hash(config: dict) -> str:
+    import hashlib  # only a run that writes its record hashes, not a replay
+
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -252,24 +252,25 @@ def spy_paths(monkeypatch):
 
 
 @pytest.mark.parametrize("path", sorted(PATH_SPANS))
-@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257])
+@pytest.mark.parametrize("n", [1, 2, 16, 17, 127, 128, 129, 257])
 def test_energy_matches_counter_on_every_path(monkeypatch, n, path):
-    # tile edges at 128 and 256 values; signed values on every path
+    # at most 16 values take Python ints at any span; tile edges at 128 and
+    # 256 values; signed values on every path
     taken = spy_paths(monkeypatch)
     freqs = spread(n, -(1 << 61) if path == "wide" else -5 * 10**6, PATH_SPANS[path](n), seed=n)
     assert energy._pair_sum_energy(freqs) == counter_energy(freqs)
-    assert taken == (["histogram"] if n == 1 else [] if path == "wide" else [path])
+    assert taken == ([] if n <= 16 or path == "wide" else [path])
 
 
 @pytest.mark.parametrize("path", sorted(PATH_SPANS))
-@pytest.mark.parametrize("n", [2, 64, 129])
+@pytest.mark.parametrize("n", [2, 8, 9, 64, 129])
 def test_fourth_moment_counts_f_and_minus_f_on_every_path(monkeypatch, n, path):
     # F u -F has 2n values and twice F's largest value as its span
     taken = spy_paths(monkeypatch)
     freqs = spread(n, 1, PATH_SPANS[path](2 * n) // 2 - 1, seed=n)
     both = freqs + [-k for k in freqs]
     assert fourth_moment_cos(make_frequency_set(freqs)) == counter_energy(both) / 16
-    assert taken == ([] if path == "wide" else [path])
+    assert taken == ([] if 2 * n <= 16 or path == "wide" else [path])
 
 
 def test_histogram_memory_is_tile_sized():

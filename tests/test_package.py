@@ -88,9 +88,12 @@ def test_cli_eval_loads_only_its_layer():
 
 
 def test_cli_eval_and_sidon_and_their_replays_load_no_numpy(tmp_path):
-    # neither command evaluates in bulk, so neither pays for importing numpy
+    # no command here evaluates in bulk, and energy counts <= 16 values on
+    # Python ints, so none pays for importing numpy
     runs = tmp_path / "runs"
-    commands = (["eval", "--freqs", "1,2,5", "--theta", "0.3"], ["sidon", "--n", "20"])
+    commands = (
+        ["eval", "--freqs", "1,2,5", "--theta", "0.3"], ["sidon", "--n", "20"], ["energy", "--freqs", "1,2,5"],
+    )
     for args in commands:
         assert _imported("--no-record", *args).isdisjoint({"numpy", "lacsum.frequency"}), args
         _python("-m", "lacsum.cli", "--runs-dir", str(runs), *args)
@@ -98,6 +101,25 @@ def test_cli_eval_and_sidon_and_their_replays_load_no_numpy(tmp_path):
     assert len(recorded) == len(commands)
     for run_dir in recorded:
         assert _imported("--no-record", "replay", str(run_dir)).isdisjoint({"numpy", "lacsum.frequency"}), run_dir
+
+
+def test_cli_monte_carlo_commands_load_no_energy():
+    # only the exact L4 norm and the fourth moment count energy
+    for args in (["norms", "--lacunary", "8,6", "--method", "mc"], ["clt", "--lacunary", "8,6"]):
+        imported = _imported("--no-record", *args, "--samples", "2000", "--seed", "3")
+        assert "lacsum.norms" in imported and "lacsum.energy" not in imported, args
+
+
+def test_replay_of_an_eval_record_loads_no_hashlib_or_secrets(tmp_path):
+    # a replay hashes nothing and draws no seed
+    code = "import sys\nprint(*(m for m in ('hashlib', 'secrets') if m in sys.modules))"
+    eager = _python("-c", code).stdout.split()
+    if eager:
+        pytest.skip(f"a bare interpreter loads {', '.join(eager)} here")
+    runs = tmp_path / "runs"
+    _python("-m", "lacsum.cli", "--runs-dir", str(runs), "eval", "--freqs", "1,2,5", "--theta", "0.3")
+    (run_dir,) = runs.iterdir()
+    assert _imported("replay", str(run_dir)).isdisjoint({"hashlib", "secrets"})
 
 
 def test_import_energy_loads_no_numpy():
